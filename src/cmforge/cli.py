@@ -21,7 +21,8 @@ from . import curve as curvemod
 from .cmspace import (BModule, CMPoint, OneForm, commutant_dim, euler_char,
                       ext1_dim, generic_point, hom_dim, lambda_act,
                       omega_twist, tangent_dim, verify_relations)
-from .diffop import HYPER, DiffOp, FractionalIdeal, coeff_ring_for
+from .diffop import (HYPER, DiffOp, FractionalIdeal, clearing_denominator,
+                     coeff_ring_for)
 from .errors import PreconditionError, SchemaError
 from .exact import BiPoly, Mat, QQ, UniPoly, rat
 from .forge import ideal_generators
@@ -159,23 +160,10 @@ def _expect_list(v, length, label):
     return v
 
 
-def _poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    g = a.gcd(b)
-    return (a * b).divmod_(g)[0].monic()
-
-
 def _ideal_json(ideal: FractionalIdeal) -> dict:
     gens = []
     for g in ideal.generators:
-        den = UniPoly.const("x", 1)
-        shift = 0
-        for i in range(g.order() + 1):
-            c = g.coeff(i)
-            if c.is_zero:
-                continue
-            den = _poly_lcm(den, c.den)
-            shift = max(shift, -c.shift)
-        D = den.mul_xk(shift)
+        D = clearing_denominator([g])
         mult = g.ring.from_poly(D)
         coeffs = []
         for i in range(g.order() + 1):

@@ -456,6 +456,21 @@ class DiffOp:
         return " + ".join(parts)
 
 
+def clearing_denominator(ops) -> UniPoly:
+    """Least monic D(x) with c * D polynomial for every coefficient c of ops.
+
+    D is the lcm of all coefficient denominators times x**shift, where shift
+    clears the most negative torus x-power (0 off the torus).
+    """
+    den = _ONE
+    shift = 0
+    for op in ops:
+        for c in op.coeffs:
+            den = den.lcm(c.den)
+            shift = max(shift, -c.shift)
+    return den.mul_xk(shift)
+
+
 class FiltrationBasis:
     """Basis tag for the order filtration: free module <1, d, ..., d^k>."""
 

@@ -1,6 +1,6 @@
 """Exact arithmetic kernel.
 
-Arbitrary-precision rationals, univariate / Laurent / bivariate polynomials,
+Arbitrary-precision rationals, univariate and bivariate polynomials,
 rational functions, and matrices over a pluggable commutative ring with
 fraction-free determinants.  Everything here is immutable and pure.
 """
@@ -148,13 +148,6 @@ class UniPoly:
             acc = acc * v + c
         return acc
 
-    def subs_matrix(self, m: "Mat") -> "Mat":
-        """Horner evaluation at a square matrix."""
-        out = Mat.zeros(m.ring, m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            out = out.mul(m).add(Mat.identity(m.ring, m.rows).scalar_mul(m.ring.from_frac(c)))
-        return out
-
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -184,6 +177,10 @@ class UniPoly:
             return a
         return a.monic()
 
+    def lcm(self, other: "UniPoly") -> "UniPoly":
+        """Monic least common multiple of two nonzero polynomials."""
+        return (self * other).divmod_(self.gcd(other))[0].monic()
+
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
@@ -210,121 +207,6 @@ class UniPoly:
             else:
                 parts.append("%s*%s^%d" % (c, self.var, i))
         return " + ".join(parts)
-
-
-class LaurentPoly:
-    """Laurent polynomial: base * var**shift with base having nonzero constant term."""
-
-    __slots__ = ("base", "shift")
-
-    def __init__(self, base: UniPoly, shift: int = 0):
-        if not base.is_zero:
-            v = base.x_valuation()
-            if v:
-                base = UniPoly(base.var, base.coeffs[v:])
-                shift += v
-        else:
-            shift = 0
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "shift", shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def const(cls, var: str, c) -> "LaurentPoly":
-        return cls(UniPoly.const(var, c), 0)
-
-    @classmethod
-    def from_poly(cls, p: UniPoly) -> "LaurentPoly":
-        return cls(p, 0)
-
-    @property
-    def var(self) -> str:
-        return self.base.var
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero
-
-    def degree(self) -> int:
-        return self.base.degree() + self.shift
-
-    def valuation(self) -> int:
-        return self.shift
-
-    def coeff(self, k: int) -> Fraction:
-        return self.base.coeff(k - self.shift)
-
-    def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.var, other)
-        if not isinstance(other, LaurentPoly):
-            raise TypeError("expected LaurentPoly")
-        return other
-
-    def __add__(self, other):
-        o = self._pair(other)
-        if self.is_zero:
-            return o
-        if o.is_zero:
-            return self
-        s = min(self.shift, o.shift)
-        a = self.base.mul_xk(self.shift - s)
-        b = o.base.mul_xk(o.shift - s)
-        return LaurentPoly(a + b, s)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(-self.base, self.shift)
-
-    def __sub__(self, other):
-        return self + (-self._pair(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly(self.base * other, self.shift)
-        o = self._pair(other)
-        return LaurentPoly(self.base * o.base, self.shift + o.shift)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.var, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.base == other.base and (self.shift == other.shift or self.is_zero)
-
-    def __hash__(self):
-        return hash((self.base, self.shift))
-
-    def derivative(self) -> "LaurentPoly":
-        # d/dx of sum c_i x^(i+shift)
-        var = self.var
-        out = LaurentPoly.const(var, 0)
-        for i, c in enumerate(self.base.coeffs):
-            e = i + self.shift
-            if c and e:
-                out = out + LaurentPoly(UniPoly.const(var, e * c), e - 1)
-        return out
-
-    def inv(self) -> "LaurentPoly":
-        """Inverse, defined only for monomials c * x^k."""
-        if self.base.degree() != 0:
-            raise ValueError("not a unit in the Laurent ring: %r" % (self,))
-        return LaurentPoly(UniPoly.const(self.var, 1 / self.base.coeffs[0]), -self.shift)
-
-    def evaluate(self, v: Fraction) -> Fraction:
-        if v == 0 and self.shift < 0:
-            raise ZeroDivisionError("evaluating a Laurent polynomial at 0")
-        return self.base.evaluate(v) * v ** self.shift
-
-    def __repr__(self):
-        if self.shift == 0:
-            return repr(self.base)
-        return "(%s)*%s^%d" % (self.base, self.var, self.shift)
 
 
 class BiPoly:
@@ -442,18 +324,6 @@ class BiPoly:
                     cs[r] = c
             deg = max(cs, default=-1)
             out.append(UniPoly(xvar, [cs.get(i, 0) for i in range(deg + 1)]))
-        return out
-
-    def coeffs_in_x(self, yvar: str = "y"):
-        n = self.degree_x()
-        out = []
-        for r in range(n + 1):
-            cs = {}
-            for (t, s), c in self.terms.items():
-                if t == r:
-                    cs[s] = c
-            deg = max(cs, default=-1)
-            out.append(UniPoly(yvar, [cs.get(i, 0) for i in range(deg + 1)]))
         return out
 
     def as_unipoly(self, which: str, var: str) -> UniPoly:
@@ -736,32 +606,6 @@ class RatFuncRing(RingBase):
 
     def __hash__(self):
         return hash(("ratfunc", self.var))
-
-
-class LaurentRing(RingBase):
-    def __init__(self, var: str):
-        self.var = var
-
-    def zero(self):
-        return LaurentPoly.const(self.var, 0)
-
-    def one(self):
-        return LaurentPoly.const(self.var, 1)
-
-    def gen(self):
-        return LaurentPoly.from_poly(UniPoly.x(self.var))
-
-    def from_int(self, n: int):
-        return LaurentPoly.const(self.var, n)
-
-    def from_frac(self, c):
-        return LaurentPoly.const(self.var, rat(c))
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentRing) and other.var == self.var
-
-    def __hash__(self):
-        return hash(("laurent", self.var))
 
 
 QQ = RationalRing()

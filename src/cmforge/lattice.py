@@ -9,12 +9,11 @@ and row-span questions (codimension, equality) reduce to Hermite forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curve import AFFINE_LINE, TORUS
-from .diffop import DiffOp, FractionalIdeal
+from .diffop import DiffOp, FractionalIdeal, clearing_denominator
 from .errors import PreconditionError
-from .exact import Mat, PolyRing, QQ, UniPoly
+from .exact import Mat, PolyRing, UniPoly
 
 _PR = PolyRing("x")
 
@@ -84,52 +83,32 @@ def hnf(m: Mat) -> tuple[Mat, Mat]:
 class ClearingData:
     """Right multiplier den**power clearing every generator to Q[x] rows.
 
-    For torus ideals the denominator absorbs x**shift (shift >= 0) so that
-    negative x-powers disappear as well; the multiplier is a unit there,
-    which leaves codimensions and span comparisons unchanged as long as
-    both sides of a comparison are cleared with the same data.
+    For torus ideals den carries the factor x**shift that removes negative
+    x-powers as well; the multiplier is a unit there, which leaves
+    codimensions and span comparisons unchanged as long as both sides of a
+    comparison are cleared with the same data.
     """
 
     den: UniPoly
     power: int
-    shift: int = 0
 
     def multiplier(self) -> UniPoly:
         return self.den ** self.power
 
 
-def _lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    g = a.gcd(b)
-    return (a * b).divmod_(g)[0].monic()
-
-
 def clearing_for(*ideals: FractionalIdeal) -> ClearingData:
     """Common clearing for one or more ideals over the same model.
 
-    den is the monic lcm of all coefficient denominators times x**shift,
-    where shift clears the most negative torus x-power; power is one more
-    than the maximal generator order, which is enough because the j-th
+    den is diffop.clearing_denominator over all generators; power is one
+    more than the maximal generator order, which is enough because the j-th
     derivative of den**power is still divisible by den**(power - j).
     """
     if not ideals:
         raise ValueError("clearing_for needs at least one ideal")
-    den = UniPoly.const("x", 1)
-    shift = 0
-    max_order = 0
-    for ideal in ideals:
-        for g in ideal.generators:
-            if g.is_zero:
-                continue
-            max_order = max(max_order, g.order())
-            for i in range(g.order() + 1):
-                c = g.coeff(i)
-                if c.is_zero:
-                    continue
-                if c.b is not None:
-                    raise ValueError("lattice clearing handles line and torus coefficients only")
-                den = _lcm(den, c.den)
-                shift = max(shift, -c.shift)
-    return ClearingData(den.mul_xk(shift), max_order + 1, shift)
+    gens = [g for ideal in ideals for g in ideal.generators if not g.is_zero]
+    if any(c.b is not None for g in gens for c in g.coeffs):
+        raise ValueError("lattice clearing handles line and torus coefficients only")
+    return ClearingData(clearing_denominator(gens), max(g.order() for g in gens) + 1)
 
 
 @dataclass(frozen=True)
@@ -258,68 +237,54 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     return CodimReport(tuple(zip(range(kmax + 1), values)), stabilized, ambient)
 
 
-def _kernel_basis(m: Mat) -> list:
-    """Basis of the rational kernel of m (vectors as Fraction lists)."""
-    rows, pivots = m.rref()
-    free = [j for j in range(m.cols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(vec)
-    return basis
-
-
 def x_saturate(m: Mat) -> Mat:
-    """Saturate a Q[x] row module at x: rows spanning (Q[x,1/x]-span) cap Q[x]^cols.
+    """Saturate a Q[x] row module at x: Hermite form of (Laurent span) cap Q[x]^cols.
 
     Clearing a torus ideal multiplies generators by x-power units, which can
     shrink the Q[x] row span even though the Laurent span is unchanged; the
-    saturation is the canonical representative.  Iterates M -> M + (1/x)(M cap
-    x Q[x]^cols) to a fixpoint: the new elements per step are the kernel
-    combinations of the constant-term matrix, divided by x.
+    saturation is the canonical representative.
+
+    One pass over the Hermite form, bottom row first.  The rows already
+    saturated vanish in and left of the pivot column of the current row t,
+    and their constant-term vectors are Q-independent (kept as an echelon).
+    While the constant terms of t lie in their Q-span, subtract that
+    combination and divide t by x.  This stops exactly when no further
+    division is possible: if the saturation held a row u with x*u equal to t
+    in the pivot column, t - x*u would lie in the span of the saturated rows
+    below, and so would the constant terms of t.  Each division lowers the
+    x-valuation of the pivot, which bounds the loop.  The result is already
+    triangular, so the closing Hermite form only normalises pivots and
+    reduces above them.
     """
-    current = m
-    while True:
-        h, _ = hnf(current)
-        rows = [h.row(i) for i in range(h.rows)
-                if any(not e.is_zero for e in h.row(i))]
-        if not rows:
-            return Mat(m.ring, 0, m.cols, ())
-        ncols = len(rows[0])
-        const = Mat(QQ, ncols, len(rows),
-                    [rows[i][j].coeff(0) for j in range(ncols) for i in range(len(rows))])
-        extra = []
-        for c in _kernel_basis(const):
-            w = []
-            for j in range(ncols):
-                acc = _PR.zero()
-                for i, ci in enumerate(c):
-                    if ci:
-                        acc = acc + rows[i][j] * ci
-                if acc.coeff(0) != 0:
-                    raise AssertionError("kernel combination not divisible by x")
-                w.append(UniPoly(acc.var, acc.coeffs[1:]))
-            if any(not e.is_zero for e in w):
-                extra.append(w)
-        if not extra:
-            return Mat.from_rows(m.ring, rows)
-        enlarged, _ = hnf(Mat.from_rows(m.ring, rows + extra))
-        new_rows = [enlarged.row(i) for i in range(enlarged.rows)
-                    if any(not e.is_zero for e in enlarged.row(i))]
-        if new_rows == rows:
-            return Mat.from_rows(m.ring, rows)
-        current = Mat.from_rows(m.ring, new_rows)
+    h, _ = hnf(m)
+    # constant-term pivot column -> saturated row, bottom row first
+    echelon: dict[int, list] = {}
+    for i in range(h.rows - 1, -1, -1):
+        row = list(h.row(i))
+        if all(e.is_zero for e in row):
+            continue
+        while True:
+            for p in sorted(echelon):
+                c = row[p].coeff(0)
+                if c:
+                    q = c / echelon[p][p].coeff(0)
+                    row = [a - b * q for a, b in zip(row, echelon[p])]
+            lead = next((j for j, e in enumerate(row) if e.coeff(0)), None)
+            if lead is not None:
+                break
+            row = [UniPoly(e.var, e.coeffs[1:]) for e in row]
+        echelon[lead] = row
+    if not echelon:
+        return Mat(m.ring, 0, m.cols, ())
+    return hnf(Mat.from_rows(m.ring, list(echelon.values())[::-1]))[0]
 
 
 def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
     """Equality of row spans, decided by identical Hermite forms.
 
     Spans are compared over Q[x] for the line; over the torus the clearing is
-    only canonical up to x-power units, so both sides are x-saturated first,
-    which compares them as Q[x,1/x] spans.
+    only canonical up to x-power units, so both sides are compared through
+    x_saturate, whose Hermite form of the Q[x,1/x] span is canonical.
     """
     if a.k != b.k:
         raise ValueError("modules at different filtration levels")
@@ -329,8 +294,7 @@ def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
         raise ValueError("modules cleared differently; build both with a common clearing")
 
     def reduced(fm: FiltrationModule):
-        mat = x_saturate(fm.rows) if fm.kind == TORUS else fm.rows
-        h, _ = hnf(mat)
+        h = x_saturate(fm.rows) if fm.kind == TORUS else hnf(fm.rows)[0]
         return tuple(tuple(h.row(i)) for i in range(h.rows)
                      if any(not p.is_zero for p in h.row(i)))
 

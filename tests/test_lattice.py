@@ -10,7 +10,7 @@ from battery import hyper_points, line_points, torus_points
 from cmforge.cmspace import lambda_act
 from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY
 from cmforge.errors import PreconditionError
-from cmforge.exact import Mat, PolyRing, UniPoly
+from cmforge.exact import Mat, PolyRing, QQ, UniPoly
 from cmforge.forge import ideal_generators
 from cmforge.lattice import (ClearingData, clearing_for, codim, hnf,
                              module_equal, span_filtration, unit_conjugate,
@@ -73,7 +73,7 @@ def test_hnf_idempotent_and_unimodular(rows):
 def test_clearing_line_n1():
     ideal = ideal_generators(line_points()[0])
     cl = clearing_for(ideal)
-    assert cl.den == X and cl.power == 2 and cl.shift == 0
+    assert cl.den == X and cl.power == 2
     assert cl.multiplier() == X * X
 
 
@@ -169,6 +169,46 @@ def test_x_saturate_fixpoint_on_saturated():
     assert x_saturate(m) == m
 
 
+def test_x_saturate_keeps_pivot_x_without_later_column():
+    # (x, 1) has constant terms (0, 1): no Q[x] combination divides by x
+    m = _pm([[X, ONE]])
+    assert x_saturate(m) == m
+
+
+def _nonzero_rows(m):
+    return [list(m.row(i)) for i in range(m.rows)
+            if any(not e.is_zero for e in m.row(i))]
+
+
+def _hnf_rows(rows):
+    return _nonzero_rows(hnf(_pm(rows))[0])
+
+
+x_polys = st.tuples(small_polys, st.integers(0, 2)).map(lambda t: t[0].mul_xk(t[1]))
+
+
+@given(st.integers(1, 3).flatmap(lambda c: st.lists(
+    st.lists(x_polys, min_size=c, max_size=c), min_size=1, max_size=3)))
+@settings(max_examples=60, deadline=None)
+def test_x_saturate_oracle(rows):
+    # S = x_saturate(m) against H = hnf(m): S is a Hermite form (a) whose
+    # span contains H (b); x^K S lies in span(H), so S stays inside the
+    # Laurent span (c); and the constant terms of S are Q-independent, so S
+    # is saturated (d).  Together these determine S.
+    h = _hnf_rows(rows)
+    s = _nonzero_rows(x_saturate(_pm(rows)))
+    if not h:
+        assert not s
+        return
+    assert _hnf_rows(s) == s
+    assert _hnf_rows(h + s) == s
+    k = sum(next(e for e in r if not e.is_zero).x_valuation() for r in h)
+    for r in s:
+        assert _hnf_rows(h + [[e.mul_xk(k) for e in r]]) == h
+    const = Mat(QQ, len(s), len(s[0]), [e.coeff(0) for r in s for e in r])
+    assert const.rank() == len(s)
+
+
 def test_module_equal_same_ideal():
     ideal = ideal_generators(torus_points()[0])
     cl = clearing_for(ideal)
@@ -184,7 +224,7 @@ def test_module_equal_guards():
     b = span_filtration(ideal, 4, cl)
     with pytest.raises(ValueError):
         module_equal(a, b)
-    other = span_filtration(ideal, 3, ClearingData(X * X * X, 2, 0))
+    other = span_filtration(ideal, 3, ClearingData(X * X * X, 2))
     with pytest.raises(ValueError):
         module_equal(a, other)
 
