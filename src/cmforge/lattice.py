@@ -125,51 +125,49 @@ class FiltrationModule:
     clearing: ClearingData
 
 
+def _cleared_ops(gens: FractionalIdeal, clearing: ClearingData) -> list[DiffOp]:
+    """The products g * multiplier for the nonzero generators g, in order."""
+    if gens.curve.kind not in (AFFINE_LINE, TORUS):
+        raise ValueError("only the affine line and the torus carry the lattice filtration")
+    ring = gens.generators[0].ring
+    mult = DiffOp.from_coeff(ring.from_poly(clearing.multiplier()))
+    return [g.mul(mult) for g in gens.generators if not g.is_zero]
+
+
+def _row(op: DiffOp, k: int) -> list[UniPoly]:
+    """Coefficients of op in the columns d^k .. d^0, each required to lie in Q[x]."""
+    vec = []
+    for i in range(k, -1, -1):
+        c = op.coeff(i)
+        if not c.is_polynomial():
+            raise PreconditionError(
+                "clearing left a non-polynomial coefficient: %r" % (c,))
+        vec.append(c.as_poly())
+    return vec
+
+
+def _level_mat(rows: list, k: int) -> Mat:
+    """Level-k rows (columns d^k .. d^0) as a matrix, possibly with no rows."""
+    return Mat.from_rows(_PR, rows) if rows else Mat(_PR, 0, k + 1, ())
+
+
 def span_filtration(gens: FractionalIdeal, k: int,
                     clearing: ClearingData | None = None) -> FiltrationModule:
     """Rows d^s * (g * multiplier) for each generator g and s <= k - order(g)."""
-    kind = gens.curve.kind
-    if kind not in (AFFINE_LINE, TORUS):
-        raise ValueError("only the affine line and the torus carry the lattice filtration")
     if k < 0:
         raise ValueError("negative filtration level")
     if clearing is None:
         clearing = clearing_for(gens)
-    ring = gens.generators[0].ring
-    mult = DiffOp.from_coeff(ring.from_poly(clearing.multiplier()))
-    partial = DiffOp.partial(ring)
+    ops = _cleared_ops(gens, clearing)
+    partial = DiffOp.partial(gens.generators[0].ring)
     rowvecs = []
-    for g in gens.generators:
-        if g.is_zero:
-            continue
-        op = g.mul(mult)
+    for op in ops:
         smax = k - op.order()
         for s in range(smax + 1):
-            vec = []
-            for i in range(k, -1, -1):
-                c = op.coeff(i)
-                if not c.is_polynomial():
-                    raise PreconditionError(
-                        "clearing left a non-polynomial coefficient: %r" % (c,))
-                vec.append(c.as_poly())
-            rowvecs.append(vec)
+            rowvecs.append(_row(op, k))
             if s < smax:
                 op = partial.mul(op)
-    if rowvecs:
-        mat = Mat.from_rows(_PR, rowvecs)
-    else:
-        mat = Mat(_PR, 0, k + 1, ())
-    return FiltrationModule(kind, k, mat, clearing)
-
-
-def _pivots(h: Mat) -> list[UniPoly]:
-    out = []
-    for i in range(h.rows):
-        for j in range(h.cols):
-            if not h.entry(i, j).is_zero:
-                out.append(h.entry(i, j))
-                break
-    return out
+    return FiltrationModule(gens.curve.kind, k, _level_mat(rowvecs, k), clearing)
 
 
 def _strip_x(p: UniPoly) -> UniPoly:
@@ -189,6 +187,16 @@ class CodimReport:
 def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     """Codimension dim(ambient_k / span_k) for k = 0..kmax.
 
+    The level-k span is span_filtration's, built incrementally.  The row
+    d^s * (g * multiplier) has order order(g) + s, so it enters at exactly
+    one level, and each level k >= order(g) takes one new row from each
+    generator g, made from its previous row by one more left multiplication
+    by d.  The level-k Hermite form is the Hermite form of the new rows
+    stacked on the nonzero rows of the level-(k-1) form, padded with a zero
+    in the new d^k column.  That is exact: the previous form is U times the
+    previous span with U unimodular, so the stacked rows span the level-k
+    module, and a Hermite form depends only on the row module.
+
     The ambient pivot is read off as the minimal pivot of the level-kmax
     Hermite form; each level contributes the sum of pivot degree excesses
     over it.  On the torus degrees are Laurent degrees (degree minus
@@ -199,16 +207,27 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     if kmax < 0:
         raise ValueError("negative kmax")
     clearing = clearing_for(gens)
+    ops = _cleared_ops(gens, clearing)
     laurent = gens.curve.kind == TORUS
+    partial = DiffOp.partial(gens.generators[0].ring)
+    zero = _PR.zero()
 
     def deg_l(p: UniPoly) -> int:
         return p.degree() - (p.x_valuation() if laurent else 0)
 
     per_k = []
+    basis: list[list[UniPoly]] = []  # nonzero rows of the previous level's Hermite form
     for k in range(kmax + 1):
-        fm = span_filtration(gens, k, clearing)
-        h, _ = hnf(fm.rows)
-        pivots = _pivots(h)
+        rows = []
+        for j, op in enumerate(ops):
+            if op.order() == k:
+                rows.append(_row(op, k))
+                if k < kmax:
+                    ops[j] = partial.mul(op)
+        rows += [[zero] + r for r in basis]
+        h, _ = hnf(_level_mat(rows, k))
+        basis = [r for r in map(h.row, range(h.rows)) if any(not e.is_zero for e in r)]
+        pivots = [next(e for e in r if not e.is_zero) for r in basis]
         per_k.append(pivots if len(pivots) == k + 1 else None)
     if per_k[-1] is None:
         return CodimReport(tuple((k, None) for k in range(kmax + 1)), None, None)

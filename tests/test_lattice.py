@@ -1,5 +1,6 @@
 """Hermite forms, clearings, filtration spans, codimension, saturation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from battery import hyper_points, line_points, torus_points
-from cmforge.cmspace import lambda_act
+from cmforge.cmspace import generic_point, lambda_act
+from cmforge.curve import TORUS, affine_line, torus
 from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY
 from cmforge.errors import PreconditionError
 from cmforge.exact import Mat, PolyRing, QQ, UniPoly
@@ -101,7 +103,7 @@ def test_clearing_rejects_hyper_coefficients():
 
 
 def test_codim_stabilizes_line():
-    for i, p in enumerate(line_points()[:2]):
+    for i, p in enumerate(line_points() + [generic_point(affine_line(), [0, 1, 2, 3])]):
         n = i + 1
         rep = codim(ideal_generators(p), 2 * n + 6)
         assert rep.stabilized == n
@@ -109,7 +111,7 @@ def test_codim_stabilizes_line():
 
 
 def test_codim_stabilizes_torus():
-    for i, p in enumerate(torus_points()[:2]):
+    for i, p in enumerate(torus_points()):
         n = i + 1
         rep = codim(ideal_generators(p), 2 * n + 6)
         assert rep.stabilized == n
@@ -150,6 +152,54 @@ def test_codim_non_nested_error():
     g2 = DiffOp(ring, [ring.from_poly(X), ring.from_poly(X * X)])
     with pytest.raises(PreconditionError, match="non-nested"):
         codim(FractionalIdeal(line_points()[0].curve, [g1, g2]), 1)
+
+
+def _codim_per_level_oracle(gens, kmax):
+    # codim recomputed the direct way: a fresh Hermite form of the whole
+    # level-k span at every level, pivot-degree excess over the level-kmax
+    # ambient pivot, Laurent degrees on the torus
+    cl = clearing_for(gens)
+    laurent = gens.curve.kind == TORUS
+
+    def deg(p):
+        return p.degree() - (p.x_valuation() if laurent else 0)
+
+    per_k = []
+    for k in range(kmax + 1):
+        rows = _nonzero_rows(hnf(span_filtration(gens, k, cl).rows)[0])
+        pivots = [next(e for e in r if not e.is_zero) for r in rows]
+        per_k.append(pivots if len(pivots) == k + 1 else None)
+    if per_k[-1] is None:
+        return tuple((k, None) for k in range(kmax + 1)), None, None
+    ambient = min(per_k[-1], key=deg)
+    values = [None if p is None else sum(deg(q) - deg(ambient) for q in p)
+              for p in per_k]
+    tail = values[-3:]
+    stabilized = values[-1] if kmax >= 2 and len(set(tail)) == 1 else None
+    return tuple(enumerate(values)), stabilized, ambient
+
+
+def test_codim_per_level_oracle():
+    ring = CoeffRing(POLY, localized=True)
+    d = DiffOp.partial(ring)
+    line = line_points()[0].curve
+    ideals = [
+        FractionalIdeal(line, [DiffOp(ring, [ring.from_poly(X * X)]),
+                               DiffOp(ring, [ring.from_int(2), ring.x()])]),
+        FractionalIdeal(line, [d.mul(d)]),
+        # not full rank at levels 0 and 1, full rank from level 2 on
+        FractionalIdeal(line, [d.mul(d), DiffOp(ring, [ring.from_int(2), ring.x()])]),
+    ]
+    rng = random.Random(5)
+    for _ in range(4):
+        c = rng.choice([affine_line(), torus()])
+        pool = [v for v in range(-3, 4) if v or c.kind != TORUS]
+        ideals.append(ideal_generators(generic_point(c, rng.sample(pool, rng.randint(1, 2)))))
+    for gens in ideals:
+        for kmax in (0, 1, 5):
+            rep = codim(gens, kmax)
+            assert (rep.entries, rep.stabilized, rep.ambient_pivot) == \
+                _codim_per_level_oracle(gens, kmax)
 
 
 def test_x_saturate_divides_out_content():
