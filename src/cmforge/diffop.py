@@ -285,11 +285,11 @@ def _normalize(ring, a, b, den, shift):
         # move x-powers between numerator, denominator and the shift
         v = den.x_valuation()
         if v:
-            den = UniPoly("x", den.coeffs[v:])
+            den = den.div_xk(v)
             shift -= v
         va = a.x_valuation()
-        if not a.is_zero and va:
-            a = UniPoly("x", a.coeffs[va:])
+        if va:
+            a = a.div_xk(va)
             shift += va
     return a, b, den, shift
 

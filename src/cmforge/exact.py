@@ -8,6 +8,7 @@ fraction-free determinants.  Everything here is immutable and pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rat(v) -> Fraction:
@@ -22,23 +23,34 @@ def rat(v) -> Fraction:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Fraction, coefficients lowest degree first."""
+    """Dense univariate polynomial over Q: integer numerators over one denominator.
 
-    __slots__ = ("var", "coeffs")
+    ``num`` is a tuple of int numerators, lowest degree first, and ``den`` one
+    positive int, so the coefficient of var**i is num[i] / den.  The form is
+    canonical: no trailing zero numerator, gcd(den, *num) == 1, and zero is
+    ``((), 1)``, so equal polynomials have equal fields.  Sums and products
+    run on ints with one gcd per result; division is pseudo-division and
+    ``gcd`` is Euclid on primitive parts.  ``coeffs`` gives the coefficients
+    as Fractions.
+    """
+
+    __slots__ = ("var", "num", "den")
 
     def __init__(self, var: str, coeffs):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        p = _poly(var, [c.numerator * (den // c.denominator) for c in cs], den)
+        _SET_VAR(self, var)
+        _SET_NUM(self, p.num)
+        _SET_DEN(self, p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def const(cls, var: str, c) -> "UniPoly":
-        return cls(var, [rat(c)])
+        c = rat(c)
+        return _raw(var, (c.numerator,) if c else (), c.denominator)
 
     @classmethod
     def x(cls, var: str) -> "UniPoly":
@@ -49,64 +61,94 @@ class UniPoly:
         return cls(var, [0] * k + [rat(c)])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         # degree of the zero polynomial reported as -1
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def lc(self) -> Fraction:
-        if self.is_zero:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
-            if other.var != self.var and other.degree() > 0 and self.degree() > 0:
-                raise ValueError("variable mismatch: %s vs %s" % (self.var, other.var))
             if other.var != self.var:
+                if len(other.num) > 1 and len(self.num) > 1:
+                    raise ValueError("variable mismatch: %s vs %s" % (self.var, other.var))
                 # one side is constant; rename to the non-constant side's variable
-                var = self.var if self.degree() > 0 or other.degree() <= 0 else other.var
-                return UniPoly(var, other.coeffs)
+                return _raw(self._var_with(other), other.num, other.den)
             return other
-        return UniPoly(self.var, [rat(other)])
+        return UniPoly.const(self.var, other)
+
+    def _var_with(self, o: "UniPoly") -> str:
+        """Variable of a sum or product: the non-constant side's."""
+        return self.var if len(self.num) > 1 or len(o.num) <= 1 else o.var
+
+    def _plus(self, o: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * o for a coerced o."""
+        a, b, den = self.num, o.num, self.den
+        if not b:
+            return self
+        if den != o.den:
+            a = [c * o.den for c in a]
+            b = [c * den for c in b]
+            den *= o.den
+        n = min(len(a), len(b))
+        if sign > 0:
+            num = [x + y for x, y in zip(a, b)]
+            num += b[n:] if len(b) > n else a[n:]
+        else:
+            num = [x - y for x, y in zip(a, b)]
+            num += [-y for y in b[n:]] if len(b) > n else a[n:]
+        return _poly(self._var_with(o), num, den)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        cs = [self.coeff(i) + o.coeff(i) for i in range(n)]
-        return UniPoly(self.var if self.degree() > 0 or o.degree() <= 0 else o.var, cs)
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
+        return _raw(self.var, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly(self.var, [c * rat(other) for c in self.coeffs])
+            return _poly(self.var, [c * other.numerator for c in self.num],
+                         self.den * other.denominator)
         o = self._coerce(other)
-        if self.is_zero or o.is_zero:
-            return UniPoly(self.var, [])
-        cs = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    cs[i + j] += a * b
-        var = self.var if self.degree() > 0 or o.degree() <= 0 else o.var
-        return UniPoly(var, cs)
+        a, b = self.num, o.num
+        if not a or not b:
+            return _raw(self.var, (), 1)
+        if len(a) < len(b):
+            a, b = b, a
+        la = len(a)
+        if len(b) == 1:
+            y = b[0]
+            return _poly(self._var_with(o), [x * y for x in a], self.den * o.den)
+        out = [0] * (la + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                out[i:i + la] = [u + x * y for u, x in zip(out[i:i + la], a)]
+        return _poly(self._var_with(o), out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -124,77 +166,85 @@ class UniPoly:
 
     def mul_xk(self, k: int) -> "UniPoly":
         """Multiply by var**k, k >= 0."""
-        if self.is_zero:
+        if not self.num or not k:
             return self
-        return UniPoly(self.var, (0,) * k + self.coeffs)
+        return _raw(self.var, (0,) * k + self.num, self.den)
+
+    def div_xk(self, k: int) -> "UniPoly":
+        """Divide by var**k, k >= 0: the inverse of mul_xk."""
+        if any(self.num[:k]):
+            raise ValueError("%r is not divisible by %s^%d" % (self, self.var, k))
+        if not k:
+            return self
+        return _raw(self.var, self.num[k:], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = UniPoly.const(self.var, other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.var == other.var or self.degree() <= 0 or other.degree() <= 0
+        return self.num == other.num and self.den == other.den and (
+            self.var == other.var or len(self.num) <= 1 or len(other.num) <= 1
         )
 
     def __hash__(self):
-        if self.degree() <= 0:
-            return hash(self.coeffs)
-        return hash((self.var, self.coeffs))
+        # a constant equals its value (and ignores var), so it hashes as one
+        if len(self.num) > 1:
+            return hash((self.var, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den)) if self.num else 0
 
     def evaluate(self, v: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * v + c
-        return acc
+        return acc / self.den
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly(self.var, [i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def divmod_(self, other: "UniPoly"):
         o = self._coerce(other)
-        if o.is_zero:
+        if not o.num:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(o.coeffs)
-        if len(rem) < dn:
-            return UniPoly(self.var, []), self
-        quo = [Fraction(0)] * (len(rem) - dn + 1)
-        dlc = o.lc()
-        for k in range(len(rem) - dn, -1, -1):
-            c = rem[k + dn - 1] / dlc
-            if c:
-                quo[k] = c
-                for i, b in enumerate(o.coeffs):
-                    rem[k + i] -= c * b
-        return UniPoly(self.var, quo), UniPoly(self.var, rem)
+        if len(self.num) < len(o.num):
+            return _raw(self.var, (), 1), self
+        # s*num = q*o.num + r, so self = (q*o.den / (s*den)) * o + r / (s*den)
+        q, r, s = _pseudo_divmod(self.num, o.num)
+        den = s * self.den
+        if o.den != 1:
+            q = [c * o.den for c in q]
+        return _poly(self.var, q, den), _poly(self.var, r, den)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, self._coerce(other)
-        while not b.is_zero:
-            a, b = b, a.divmod_(b)[1]
-        if a.is_zero:
-            return a
-        return a.monic()
+        o = self._coerce(other)
+        a, b = _primitive(list(self.num)), _primitive(list(o.num))
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        if not a:
+            return self
+        if a[-1] < 0:
+            a = [-c for c in a]
+        # a is primitive, so a / lc(a) is already canonical
+        return _raw(self._var_with(o), tuple(a), a[-1])
 
     def lcm(self, other: "UniPoly") -> "UniPoly":
         """Monic least common multiple of two nonzero polynomials."""
         return (self * other).divmod_(self.gcd(other))[0].monic()
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        num = self.num
+        if not num:
             return self
-        return self * (1 / self.lc())
+        if num[-1] < 0:
+            return _poly(self.var, [-c for c in num], -num[-1])
+        return _poly(self.var, list(num), num[-1])
 
     def x_valuation(self) -> int:
         """Lowest exponent with a nonzero coefficient (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
+        return next((i for i, c in enumerate(self.num) if c), 0)
 
     def __repr__(self):
-        if self.is_zero:
+        if not self.num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -207,6 +257,79 @@ class UniPoly:
             else:
                 parts.append("%s*%s^%d" % (c, self.var, i))
         return " + ".join(parts)
+
+
+_NEW = object.__new__
+_SET_VAR = UniPoly.var.__set__
+_SET_NUM = UniPoly.num.__set__
+_SET_DEN = UniPoly.den.__set__
+
+
+def _raw(var: str, num: tuple, den: int) -> UniPoly:
+    """UniPoly from fields that are already canonical."""
+    p = _NEW(UniPoly)
+    _SET_VAR(p, var)
+    _SET_NUM(p, num)
+    _SET_DEN(p, den)
+    return p
+
+
+def _poly(var: str, num: list, den: int) -> UniPoly:
+    """UniPoly with coefficients num[i] / den (den > 0), made canonical."""
+    while num and not num[-1]:
+        num.pop()
+    p = _NEW(UniPoly)
+    _SET_VAR(p, var)
+    if not num:
+        _SET_NUM(p, ())
+        _SET_DEN(p, 1)
+        return p
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    # a tuple built from a list comes from the free list it returns to
+    _SET_NUM(p, tuple(num))
+    _SET_DEN(p, den)
+    return p
+
+
+def _primitive(num: list) -> list:
+    """num without trailing zeros, divided by the gcd of its entries."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(*num)
+    return [c // g for c in num] if g > 1 else num
+
+
+def _pseudo_divmod(a, b) -> tuple[list, list, int]:
+    """Pseudo-division of int coefficient sequences, lowest degree first.
+
+    Returns (q, r, s) with s > 0, s*a == q*b + r and len(r) < len(b) (r may
+    end in zeros).  A step whose top coefficient t is not a multiple of
+    lc(b) first scales the remainder, the quotient so far and s by
+    |lc(b)| / gcd(t, lc(b)); for lc(b) = +-1 no step scales.
+    """
+    n = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(r) - n)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        t = r[k + n]
+        if not t:
+            continue
+        if t % lb:
+            m = abs(lb) // gcd(t, lb)
+            r[:k + n] = [c * m for c in r[:k + n]]
+            q[k + 1:] = [c * m for c in q[k + 1:]]
+            s *= m
+            t *= m
+        c = t // lb
+        q[k] = c
+        if n:
+            r[k:k + n] = [x - c * y for x, y in zip(r[k:k + n], b)]
+    return q, r[:n], s
 
 
 class BiPoly:

@@ -146,6 +146,16 @@ def _row(op: DiffOp, k: int) -> list[UniPoly]:
     return vec
 
 
+def _d_row(row: list[UniPoly]) -> list[UniPoly]:
+    """The row of d * op from the row of op, one column (d^(k+1)) longer.
+
+    The coefficient of d^i in d * op is c_i' + c_(i-1), so a polynomial row
+    stays polynomial.
+    """
+    return ([row[0]] + [a + b.derivative() for a, b in zip(row[1:], row)]
+            + [row[-1].derivative()])
+
+
 def _level_mat(rows: list, k: int) -> Mat:
     """Level-k rows (columns d^k .. d^0) as a matrix, possibly with no rows."""
     return Mat.from_rows(_PR, rows) if rows else Mat(_PR, 0, k + 1, ())
@@ -158,21 +168,18 @@ def span_filtration(gens: FractionalIdeal, k: int,
         raise ValueError("negative filtration level")
     if clearing is None:
         clearing = clearing_for(gens)
-    ops = _cleared_ops(gens, clearing)
-    partial = DiffOp.partial(gens.generators[0].ring)
+    zero = _PR.zero()
     rowvecs = []
-    for op in ops:
-        smax = k - op.order()
-        for s in range(smax + 1):
-            rowvecs.append(_row(op, k))
-            if s < smax:
-                op = partial.mul(op)
+    for op in _cleared_ops(gens, clearing):
+        if op.order() > k:
+            continue
+        row = _row(op, op.order())
+        while True:
+            rowvecs.append([zero] * (k + 1 - len(row)) + row)
+            if len(row) > k:
+                break
+            row = _d_row(row)
     return FiltrationModule(gens.curve.kind, k, _level_mat(rowvecs, k), clearing)
-
-
-def _strip_x(p: UniPoly) -> UniPoly:
-    v = p.x_valuation()
-    return UniPoly(p.var, p.coeffs[v:]) if v else p
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,11 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     d^s * (g * multiplier) has order order(g) + s, so it enters at exactly
     one level, and each level k >= order(g) takes one new row from each
     generator g, made from its previous row by one more left multiplication
-    by d.  The level-k Hermite form is the Hermite form of the new rows
-    stacked on the nonzero rows of the level-(k-1) form, padded with a zero
-    in the new d^k column.  That is exact: the previous form is U times the
-    previous span with U unimodular, so the stacked rows span the level-k
-    module, and a Hermite form depends only on the row module.
+    by d (``_d_row``).  The level-k Hermite form is the Hermite form of the
+    new rows stacked on the nonzero rows of the level-(k-1) form, padded with
+    a zero in the new d^k column.  That is exact: the previous form is U
+    times the previous span with U unimodular, so the stacked rows span the
+    level-k module, and a Hermite form depends only on the row module.
 
     The ambient pivot is read off as the minimal pivot of the level-kmax
     Hermite form; each level contributes the sum of pivot degree excesses
@@ -209,7 +216,6 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     clearing = clearing_for(gens)
     ops = _cleared_ops(gens, clearing)
     laurent = gens.curve.kind == TORUS
-    partial = DiffOp.partial(gens.generators[0].ring)
     zero = _PR.zero()
 
     def deg_l(p: UniPoly) -> int:
@@ -217,13 +223,17 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
 
     per_k = []
     basis: list[list[UniPoly]] = []  # nonzero rows of the previous level's Hermite form
+    current: list = [None] * len(ops)  # each generator's row, once it has entered
     for k in range(kmax + 1):
         rows = []
         for j, op in enumerate(ops):
-            if op.order() == k:
-                rows.append(_row(op, k))
-                if k < kmax:
-                    ops[j] = partial.mul(op)
+            if current[j] is not None:
+                current[j] = _d_row(current[j])
+            elif op.order() == k:
+                current[j] = _row(op, k)
+            else:
+                continue
+            rows.append(current[j])
         rows += [[zero] + r for r in basis]
         h, _ = hnf(_level_mat(rows, k))
         basis = [r for r in map(h.row, range(h.rows)) if any(not e.is_zero for e in r)]
@@ -232,7 +242,7 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     if per_k[-1] is None:
         return CodimReport(tuple((k, None) for k in range(kmax + 1)), None, None)
     ambient = min(per_k[-1], key=deg_l)
-    ambient_red = _strip_x(ambient) if laurent else ambient
+    ambient_red = ambient.div_xk(ambient.x_valuation()) if laurent else ambient
     values: list[int | None] = []
     for pivots in per_k:
         if pivots is None:
@@ -240,7 +250,7 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
             continue
         total = 0
         for p in pivots:
-            p_red = _strip_x(p) if laurent else p
+            p_red = p.div_xk(p.x_valuation()) if laurent else p
             _, rem = p_red.divmod_(ambient_red)
             if not rem.is_zero:
                 raise PreconditionError(
@@ -291,7 +301,7 @@ def x_saturate(m: Mat) -> Mat:
             lead = next((j for j, e in enumerate(row) if e.coeff(0)), None)
             if lead is not None:
                 break
-            row = [UniPoly(e.var, e.coeffs[1:]) for e in row]
+            row = [e.div_xk(1) for e in row]
         echelon[lead] = row
     if not echelon:
         return Mat(m.ring, 0, m.cols, ())

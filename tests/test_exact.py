@@ -1,6 +1,7 @@
 """Exact arithmetic layer: polynomials, bivariate polynomials, matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,19 @@ def test_unipoly_x_valuation_and_mul_xk():
     p = UniPoly("x", [0, 0, 3, 1])
     assert p.x_valuation() == 2
     assert p.mul_xk(2) == UniPoly("x", [0, 0, 0, 0, 3, 1])
+    assert p.div_xk(2) == UniPoly("x", [3, 1])
+    assert p.mul_xk(3).div_xk(3) == p
+    with pytest.raises(ValueError):
+        p.div_xk(3)
+
+
+def test_unipoly_constant_hash_agrees_with_eq():
+    c = UniPoly.const("x", 3)
+    assert c == 3 and 3 in {c} and c in {3}
+    assert Fraction(1, 2) in {UniPoly.const("t", Fraction(1, 2))}
+    assert 0 in {UniPoly("x", [])}
+    assert UniPoly.const("y", 5) in {c + 2}
+    assert {UniPoly("x", [1, "1/2"]): 1}[UniPoly("x", [Fraction(3, 3), Fraction(2, 4)])] == 1
 
 
 @given(upoly(), upoly(), upoly())
@@ -169,3 +183,97 @@ def test_mat_inv_singular_rejected():
     m = Mat(QQ, 2, 2, [Fraction(v) for v in (1, 2, 2, 4)])
     with pytest.raises(ZeroDivisionError):
         m.inv()
+
+
+# --- sympy oracle (sympy is a test-only dependency) ---------------------------
+
+big_fracs = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
+
+
+def big_poly(maxdeg=12):
+    return st.lists(big_fracs, max_size=maxdeg + 1).map(lambda cs: UniPoly("x", cs))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _canonical(p):
+    """Assert the integer-numerator invariant of p."""
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0
+    if p.num:
+        assert p.num[-1] != 0 and gcd(p.den, *p.num) == 1
+    else:
+        assert p.den == 1
+    assert p.coeffs == tuple(Fraction(c, p.den) for c in p.num)
+
+
+def _to_sympy(sympy, p):
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(cs or [0], sympy.Symbol("x"), domain=sympy.QQ)
+
+
+def _same(p, poly):
+    """p (a UniPoly) has exactly the coefficients of the sympy Poly poly."""
+    _canonical(p)
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    while want and want[-1] == 0:
+        want.pop()
+    return p.coeffs == tuple(want)
+
+
+@given(big_poly(), big_poly())
+@settings(max_examples=60, deadline=None)
+def test_divmod_matches_sympy(sympy, a, b):
+    for p in (a, b):
+        _canonical(p)
+    if b.is_zero:
+        return
+    q, r = a.divmod_(b)
+    sq, sr = _to_sympy(sympy, a).div(_to_sympy(sympy, b))
+    assert _same(q, sq) and _same(r, sr)
+
+
+@given(big_poly(4), big_poly(8), big_poly(8))
+@settings(max_examples=60, deadline=None)
+def test_gcd_lcm_monic_match_sympy(sympy, f, g, h):
+    a, b = f * g, f * h
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    assert _same(a.gcd(b), sa.gcd(sb))
+    if not a.is_zero:
+        assert _same(a.monic(), sa.monic())
+    if not a.is_zero and not b.is_zero:
+        assert _same(a.lcm(b), sa.lcm(sb))
+
+
+@given(big_poly(6), big_poly(6))
+@settings(max_examples=30, deadline=None)
+def test_resultant_matches_sympy(sympy, a, b):
+    if a.is_zero or b.is_zero:
+        if not (a.is_zero and b.is_zero):
+            assert resultant(a, b) == 0
+        return
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    # sympy 1.14's resultant drops the sign (-1)^(deg a * deg b) when deg a <
+    # deg b (resultant(x + 1, x**3) gives 1, its own Sylvester determinant
+    # -1), so ask it with the larger degree first.
+    if a.degree() < b.degree():
+        want = sb.resultant(sa) * (-1) ** (a.degree() * b.degree())
+    else:
+        want = sa.resultant(sb)
+    assert resultant(a, b) == Fraction(int(want.p), int(want.q))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3)),
+    min_size=n * n, max_size=n * n).map(lambda es: Mat(QQ, n, n, es))))
+@settings(max_examples=30, deadline=None)
+def test_char_poly_matches_sympy(sympy, m):
+    rows = [[sympy.Rational(e.numerator, e.denominator) for e in m.row(i)]
+            for i in range(m.rows)]
+    t = sympy.Symbol("x")
+    want = sympy.Matrix(rows).charpoly(t).as_poly(t, domain=sympy.QQ)
+    # char_poly is det(m - t Id), sympy's charpoly det(t Id - m)
+    assert _same(char_poly(m, "x") * (-1) ** m.rows, want)

@@ -14,9 +14,9 @@ from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY
 from cmforge.errors import PreconditionError
 from cmforge.exact import Mat, PolyRing, QQ, UniPoly
 from cmforge.forge import ideal_generators
-from cmforge.lattice import (ClearingData, clearing_for, codim, hnf,
-                             module_equal, span_filtration, unit_conjugate,
-                             x_saturate)
+from cmforge.lattice import (ClearingData, _cleared_ops, _d_row, _row, clearing_for,
+                             codim, hnf, module_equal, span_filtration,
+                             unit_conjugate, x_saturate)
 
 PR = PolyRing("x")
 X = UniPoly.x("x")
@@ -94,6 +94,18 @@ def test_span_filtration_row_count():
     # order-0 generator contributes 5 rows, order-2 generator 3 rows
     assert fm.rows.rows == 8
     assert fm.rows.cols == 5
+
+
+def test_d_row_is_left_multiplication_by_d():
+    for p in line_points() + torus_points():
+        ideal = ideal_generators(p)
+        partial = DiffOp.partial(ideal.generators[0].ring)
+        for op in _cleared_ops(ideal, clearing_for(ideal)):
+            k = op.order()
+            row = _row(op, k)
+            for _ in range(3):
+                op, k, row = partial.mul(op), k + 1, _d_row(row)
+                assert row == _row(op, k)
 
 
 def test_clearing_rejects_hyper_coefficients():
