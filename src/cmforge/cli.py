@@ -16,6 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import curve as curvemod
 from .cmspace import (BModule, CMPoint, OneForm, commutant_dim, euler_char,
@@ -470,7 +471,10 @@ def run(spec: JobSpec) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parse_args keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="cmforge",
         description="Exact computations on Calogero-Moser spaces over curves")

@@ -10,8 +10,9 @@ tangent space, Hom/Ext dimensions) and applies the symmetry actions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .exact import Mat, QQ, rat, bipoly_apply
+from .exact import Mat, QQ, rat, bipoly_apply, rational_rank
 from .errors import PreconditionError
 from . import curve as curvemod
 
@@ -358,23 +359,43 @@ def _as_module(m) -> BModule:
     return m
 
 
-def _nullspace_dim(columns, nrows) -> int:
-    """columns: list of length-nrows lists of Fractions."""
-    ncols = len(columns)
-    if ncols == 0:
-        return 0
-    if nrows == 0:
-        return ncols
-    entries = [columns[j][i] for i in range(nrows) for j in range(ncols)]
-    m = Mat(QQ, nrows, ncols, entries)
-    return ncols - m.rank()
+def _linear_cols(blocks, shapes):
+    """Columns of a linear system in matrix unknowns.
+
+    ``shapes`` lists (unknown, rows, cols) in column order; entry (a, b) of an
+    unknown owns one column, row-major.  Each block is one matrix equation
+    sum(coeff * L * U * R) over its terms (U, coeff, L, R), contributing its
+    entries row-major as rows.  L * E_ab * R is the outer product of column a
+    of L and row b of R, so each column is written from those, skipping zero
+    factors.
+    """
+    first, ncols = {}, 0
+    for u, r, c in shapes:
+        first[u] = ncols
+        ncols += r * c
+    cols = [[] for _ in range(ncols)]
+    for terms in blocks:
+        height, width = terms[0][2].rows, terms[0][3].cols
+        part = [[0] * (height * width) for _ in range(ncols)]
+        for u, coeff, L, R in terms:
+            rrows = [R.row(b) for b in range(R.rows)]
+            for a in range(L.cols):
+                lcol = L.col(a)
+                for b, rrow in enumerate(rrows):
+                    acc = part[first[u] + a * R.rows + b]
+                    for i, li in enumerate(lcol):
+                        if li:
+                            f = coeff * li
+                            for j, rj in enumerate(rrow):
+                                if rj:
+                                    acc[i * width + j] += f * rj
+        for col, rows in zip(cols, part):
+            col.extend(rows)
+    return cols
 
 
-def _flatten(mats):
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return out
+def _nullspace_dim(columns) -> int:
+    return len(columns) - rational_rank(columns)
 
 
 def commutant_dim(m) -> int:
@@ -383,29 +404,18 @@ def commutant_dim(m) -> int:
     module is simple."""
     mod = _as_module(m)
     n, k = mod.n, mod.n_inf
-    acts = mod.vertex_actions()
+    In, Ik = Mat.identity(QQ, n), Mat.identity(QQ, k)
+    blocks = [[("M", 1, In, a), ("M", -1, a, In)] for a in mod.vertex_actions()]
+    blocks.append([("M", 1, In, mod.V), ("C", -1, mod.V, Ik)])
+    blocks.append([("C", 1, Ik, mod.W), ("M", -1, mod.W, In)])
+    return _nullspace_dim(_linear_cols(blocks, [("M", n, n), ("C", k, k)]))
 
-    def equations(M, C):
-        eqs = [M.mul(a).sub(a.mul(M)) for a in acts]
-        eqs.append(M.mul(mod.V).sub(mod.V.mul(C)))
-        eqs.append(C.mul(mod.W).sub(mod.W.mul(M)))
-        return eqs
 
-    zero_n = Mat.zeros(QQ, n, n)
-    zero_k = Mat.zeros(QQ, k, k)
-    nrows = sum(e.rows * e.cols for e in equations(zero_n, zero_k))
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            E = Mat(QQ, n, n, [Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                               for i in range(n) for j in range(n)])
-            cols.append(_flatten(equations(E, zero_k)))
-    for a in range(k):
-        for b in range(k):
-            E = Mat(QQ, k, k, [Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                               for i in range(k) for j in range(k)])
-            cols.append(_flatten(equations(zero_n, E)))
-    return _nullspace_dim(cols, nrows)
+def _vertex_blocks(mu, mv):
+    """f0 x - y f0 for each pair of vertex actions (x of mu, y of mv)."""
+    iu, iv = Mat.identity(QQ, mu.n), Mat.identity(QQ, mv.n)
+    return [[("f0", 1, iv, x), ("f0", -1, y, iu)]
+            for x, y in zip(mu.vertex_actions(), mv.vertex_actions())]
 
 
 def hom_dim(U, V) -> int:
@@ -414,44 +424,19 @@ def hom_dim(U, V) -> int:
     mu, mv = _as_module(U), _as_module(V)
     if (mu.Ymat is None) != (mv.Ymat is None):
         raise ValueError("modules must share the model shape")
-    au, av = mu.vertex_actions(), mv.vertex_actions()
-
-    def equations(f0, finf):
-        eqs = [f0.mul(x).sub(y.mul(f0)) for x, y in zip(au, av)]
-        eqs.append(f0.mul(mu.V).sub(mv.V.mul(finf)))
-        eqs.append(finf.mul(mu.W).sub(mv.W.mul(f0)))
-        return eqs
-
-    z0 = Mat.zeros(QQ, mv.n, mu.n)
-    zi = Mat.zeros(QQ, mv.n_inf, mu.n_inf)
-    nrows = sum(e.rows * e.cols for e in equations(z0, zi))
-    cols = []
-    for a in range(mv.n):
-        for b in range(mu.n):
-            E = Mat(QQ, mv.n, mu.n, [Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                                     for i in range(mv.n) for j in range(mu.n)])
-            cols.append(_flatten(equations(E, zi)))
-    for a in range(mv.n_inf):
-        for b in range(mu.n_inf):
-            E = Mat(QQ, mv.n_inf, mu.n_inf,
-                    [Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                     for i in range(mv.n_inf) for j in range(mu.n_inf)])
-            cols.append(_flatten(equations(z0, E)))
-    return _nullspace_dim(cols, nrows)
+    blocks = _vertex_blocks(mu, mv)
+    blocks.append([("f0", 1, Mat.identity(QQ, mv.n), mu.V),
+                   ("finf", -1, mv.V, Mat.identity(QQ, mu.n_inf))])
+    blocks.append([("finf", 1, Mat.identity(QQ, mv.n_inf), mu.W),
+                   ("f0", -1, mv.W, Mat.identity(QQ, mu.n))])
+    shapes = [("f0", mv.n, mu.n), ("finf", mv.n_inf, mu.n_inf)]
+    return _nullspace_dim(_linear_cols(blocks, shapes))
 
 
 def _hom_dim_vertex(U, V) -> int:
     """dim of intertwiners of the vertex actions only (framing ignored)."""
     mu, mv = _as_module(U), _as_module(V)
-    au, av = mu.vertex_actions(), mv.vertex_actions()
-    cols = []
-    nrows = len(au) * mv.n * mu.n
-    for a in range(mv.n):
-        for b in range(mu.n):
-            E = Mat(QQ, mv.n, mu.n, [Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                                     for i in range(mv.n) for j in range(mu.n)])
-            cols.append(_flatten([E.mul(x).sub(y.mul(E)) for x, y in zip(au, av)]))
-    return _nullspace_dim(cols, nrows)
+    return _nullspace_dim(_linear_cols(_vertex_blocks(mu, mv), [("f0", mv.n, mu.n)]))
 
 
 def ext1_dim(U, V) -> int:
@@ -492,56 +477,24 @@ def tangent_dim(p: CMPoint) -> int:
     Gauge directions are not quotiented out: for a smooth point of the n-th
     space this is n^2 + 2n (moduli dimension 2n plus the gauge orbit n^2).
     """
-    rels = relation_set(p.curve, p.n, p.n_inf)
-    syms = ["X", "Z"] + (["Y"] if p.Ymat is not None else [])
-    shapes = {s: (p.n, p.n) for s in syms}
+    shapes = [("X", p.n, p.n), ("Z", p.n, p.n)]
+    if p.Ymat is not None:
+        shapes.append(("Y", p.n, p.n))
     for i in range(p.n_inf):
-        syms.append(("v", i))
-        shapes[("v", i)] = (p.n, 1)
-        syms.append(("w", i))
-        shapes[("w", i)] = (1, p.n)
-
-    # precompute (coeff, symbol, prefix, suffix) for each occurrence
-    occurrences = []
-    nrows = 0
-    for rel in rels:
-        size = 1 if rel.shape == "scalar" else p.n
-        occ = []
+        shapes += [(("v", i), p.n, 1), (("w", i), 1, p.n)]
+    blocks = []
+    for rel in relation_set(p.curve, p.n, p.n_inf):
+        ident = Mat.identity(QQ, 1 if rel.shape == "scalar" else p.n)
+        terms = []
         for coeff, word in rel.terms:
+            mats = [p.symbol_value(s) for s in word]
             for pos, sym in enumerate(word):
-                if sym == "I":
-                    continue
-                pre = Mat.identity(QQ, size)
-                for s in word[:pos]:
-                    pre = pre.mul(p.symbol_value(s))
-                sufm = None
-                for s in word[pos + 1:]:
-                    m = p.symbol_value(s)
-                    sufm = m if sufm is None else sufm.mul(m)
-                occ.append((coeff, sym, pre, sufm))
-        occurrences.append((size, occ))
-        nrows += size * size
-
-    cols = []
-    for sym in syms:
-        r, c = shapes[sym]
-        for a in range(r):
-            for b in range(c):
-                E = Mat(QQ, r, c, [Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                                   for i in range(r) for j in range(c)])
-                col = []
-                for size, occ in occurrences:
-                    acc = Mat.zeros(QQ, size, size)
-                    for coeff, osym, pre, suf in occ:
-                        if osym != sym:
-                            continue
-                        term = pre.mul(E)
-                        if suf is not None:
-                            term = term.mul(suf)
-                        acc = acc.add(term.scalar_mul(coeff))
-                    col.extend(acc.entries)
-                cols.append(col)
-    return _nullspace_dim(cols, nrows)
+                if sym != "I":
+                    pre, suf = mats[:pos], mats[pos + 1:]
+                    terms.append((sym, coeff, reduce(Mat.mul, pre) if pre else ident,
+                                  reduce(Mat.mul, suf) if suf else ident))
+        blocks.append(terms)
+    return _nullspace_dim(_linear_cols(blocks, shapes))
 
 
 # ---------------------------------------------------------------------------

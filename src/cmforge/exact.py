@@ -960,6 +960,36 @@ class Mat:
         return Mat.from_rows(rg, cof).transpose()
 
 
+def rational_rank(vectors) -> int:
+    """Rank over Q of equal-length vectors of ints and Fractions.
+
+    Fraction-free: each vector is scaled to ints by the lcm of its
+    denominators (rank over Q equals rank over Z of the scaled vectors) and
+    reduced against an echelon of primitive int rows keyed by pivot column,
+    cross-multiplying by the gcd-reduced pivot ratio at each step.
+    """
+    echelon = {}
+    for v in vectors:
+        den = lcm(*[e.denominator for e in v])
+        row = [e.numerator * (den // e.denominator) for e in v]
+        j, width = 0, len(row)
+        while True:
+            while j < width and not row[j]:
+                j += 1
+            if j == width:
+                break
+            piv = echelon.get(j)
+            if piv is None:
+                g = gcd(*row)
+                echelon[j] = [c // g for c in row] if g > 1 else row
+                break
+            a, b = row[j], piv[j]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = [b * x - a * y for x, y in zip(row, piv)]
+    return len(echelon)
+
+
 def char_poly(m: Mat, var: str) -> UniPoly:
     """det(m - t*Id) as a UniPoly in var, for a matrix over the rationals."""
     if m.rows != m.cols:

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from battery import cubic_plus_one, full_battery, line_points, torus_points
+from battery import (cubic_plus_one, full_battery, hyper_points, line_points,
+                     torus_points)
+from cmforge import cmspace
 from cmforge.cmspace import (BModule, CMPoint, commutant_dim, euler_char,
                              ext1_dim, generic_point, hom_dim, lambda_act,
                              omega_twist, OneForm, relation_set, tangent_dim,
@@ -115,9 +117,9 @@ def test_euler_identity_random_modules():
         assert hom_dim(u, v) - ext1_dim(u, v) == euler_char(u, v)
 
 
-def _random_module(rng):
+def _random_module(rng, kmax=2):
     n = rng.randint(0, 3)
-    k = rng.randint(0, 2)
+    k = rng.randint(0, kmax)
 
     def m(r, c):
         return Mat(QQ, r, c, [Fraction(rng.randint(-3, 3)) for _ in range(r * c)])
@@ -145,6 +147,115 @@ def test_trace_lift():
 
 def test_tangent_dimension():
     assert tangent_dim(line_points()[0]) == 3  # n^2 + 2n at n = 1
+
+
+def test_tangent_dimension_higher_rank():
+    # y^2 = x^3 + 1 at rank 2 and 3, and the torus at rank 3
+    for p in (hyper_points()[0], hyper_points()[1], torus_points()[2]):
+        assert tangent_dim(p) == p.n * p.n + 2 * p.n, repr(p)
+
+
+# --- the linear systems against the matrix-unit construction ---------------
+#
+# The reference pushes each matrix unit E_ab of each unknown (the others held
+# at zero) through the equations with Mat.mul, one column per unit.
+
+
+def _unit(r, c, a, b):
+    return Mat(QQ, r, c, [Fraction(int((i, j) == (a, b)))
+                          for i in range(r) for j in range(c)])
+
+
+def _unit_columns(shapes, equations):
+    zeros = [Mat.zeros(QQ, r, c) for r, c in shapes]
+    cols = []
+    for k, (r, c) in enumerate(shapes):
+        for a in range(r):
+            for b in range(c):
+                args = list(zeros)
+                args[k] = _unit(r, c, a, b)
+                cols.append([e for m in equations(*args) for e in m.entries])
+    return cols
+
+
+def _tangent_reference(p):
+    syms = ["X", "Z"] + (["Y"] if p.Ymat is not None else [])
+    for i in range(p.n_inf):
+        syms += [("v", i), ("w", i)]
+    rels = relation_set(p.curve, p.n, p.n_inf)
+
+    def equations(*deltas):
+        delta = dict(zip(syms, deltas))
+        out = []
+        for rel in rels:
+            size = 1 if rel.shape == "scalar" else p.n
+            acc = Mat.zeros(QQ, size, size)
+            for coeff, word in rel.terms:
+                for pos, sym in enumerate(word):
+                    if sym == "I":
+                        continue
+                    term = Mat.identity(QQ, size)
+                    for k, s in enumerate(word):
+                        term = term.mul(delta[s] if k == pos else p.symbol_value(s))
+                    acc = acc.add(term.scalar_mul(coeff))
+            out.append(acc)
+        return out
+
+    shapes = [(p.symbol_value(s).rows, p.symbol_value(s).cols) for s in syms]
+    return _unit_columns(shapes, equations)
+
+
+def _hom_reference(mu, mv, framed=True):
+    au, av = mu.vertex_actions(), mv.vertex_actions()
+
+    def equations(f0, finf=None):
+        eqs = [f0.mul(x).sub(y.mul(f0)) for x, y in zip(au, av)]
+        if framed:
+            eqs.append(f0.mul(mu.V).sub(mv.V.mul(finf)))
+            eqs.append(finf.mul(mu.W).sub(mv.W.mul(f0)))
+        return eqs
+
+    shapes = [(mv.n, mu.n)] + ([(mv.n_inf, mu.n_inf)] if framed else [])
+    return _unit_columns(shapes, equations)
+
+
+def _ranked_columns(monkeypatch, fn, *args):
+    """The columns fn hands to _nullspace_dim."""
+    seen = []
+    real = cmspace._nullspace_dim
+    with monkeypatch.context() as m:
+        m.setattr(cmspace, "_nullspace_dim", lambda cols: seen.append(cols) or real(cols))
+        fn(*args)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def test_tangent_columns_match_unit_construction(monkeypatch):
+    for p in line_points() + torus_points() + hyper_points():
+        cols = _ranked_columns(monkeypatch, tangent_dim, p)
+        assert cols == _tangent_reference(p), repr(p)
+
+
+def test_commutant_columns_match_unit_construction(monkeypatch):
+    a = BModule.from_point(line_points()[0])
+    mods = [BModule.from_point(p) for p in full_battery()]
+    for m in mods + [BModule.direct_sum(a, a)]:
+        cols = _ranked_columns(monkeypatch, commutant_dim, m)
+        assert cols == _hom_reference(m, m), repr(m)
+
+
+def test_hom_columns_match_unit_construction(monkeypatch):
+    rng = random.Random(11)
+    pairs = [(_random_module(rng, 3), _random_module(rng, 3)) for _ in range(40)]
+    hyper = [BModule.from_point(p) for p in hyper_points()]
+    pairs += [(hyper[0], hyper[1]), (hyper[2], hyper[0])]
+    mods = [u for pair in pairs for u in pair]
+    assert {0, 3} <= {u.n for u in mods} and {0, 3} <= {u.n_inf for u in mods}
+    for u, v in pairs:
+        cols = _ranked_columns(monkeypatch, hom_dim, u, v)
+        assert cols == _hom_reference(u, v), (u, v)
+        cols = _ranked_columns(monkeypatch, cmspace._hom_dim_vertex, u, v)
+        assert cols == _hom_reference(u, v, framed=False), (u, v)
 
 
 def test_lambda_action():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmforge.exact import (BiPoly, Mat, PolyRing, QQ, RatFunc, RatFuncRing,
-                           UniPoly, char_poly, rat, resultant)
+                           UniPoly, char_poly, rat, rational_rank, resultant)
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -277,3 +277,34 @@ def test_char_poly_matches_sympy(sympy, m):
     want = sympy.Matrix(rows).charpoly(t).as_poly(t, domain=sympy.QQ)
     # char_poly is det(m - t Id), sympy's charpoly det(t Id - m)
     assert _same(char_poly(m, "x") * (-1) ** m.rows, want)
+
+
+
+@st.composite
+def deficient_vectors(draw):
+    """Rows of A * B, of rank at most the inner size r, with zero rows mixed in."""
+    m, r, c = draw(st.integers(0, 6)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    entries = st.one_of(st.integers(-5, 5), big_fracs)
+    a = Mat(QQ, m, r, draw(st.lists(entries, min_size=m * r, max_size=m * r)))
+    b = Mat(QQ, r, c, draw(st.lists(entries, min_size=r * c, max_size=r * c)))
+    rows = a.mul(b).to_rows()
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * c)
+    return rows, c
+
+
+@given(deficient_vectors())
+@settings(max_examples=80, deadline=None)
+def test_rational_rank_matches_sympy(sympy, drawn):
+    rows, c = drawn
+    want = sympy.Matrix(len(rows), c, [sympy.Rational(e.numerator, e.denominator)
+                                       for row in rows for e in row]).rank()
+    assert rational_rank(rows) == want
+    assert rational_rank([list(col) for col in zip(*rows)]) == want
+
+
+def test_rational_rank_empty_and_zero():
+    assert rational_rank([]) == 0
+    assert rational_rank([[], []]) == 0
+    assert rational_rank([[0, Fraction(0)], [0, 0]]) == 0
+    assert rational_rank([[Fraction(1, 3), 2], [1, 6], [0, 0]]) == 1
