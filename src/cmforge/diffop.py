@@ -471,35 +471,6 @@ def clearing_denominator(ops) -> UniPoly:
     return den.mul_xk(shift)
 
 
-class FiltrationBasis:
-    """Basis tag for the order filtration: free module <1, d, ..., d^k>."""
-
-    __slots__ = ("ring", "k")
-
-    def __init__(self, ring: CoeffRing, k: int):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiltrationBasis is immutable")
-
-    @property
-    def rank(self) -> int:
-        return self.k + 1
-
-    def labels(self):
-        return ["1"] + ["d^%d" % i if i > 1 else "d" for i in range(1, self.k + 1)]
-
-
-def filtration_basis(ring: CoeffRing, k: int) -> FiltrationBasis:
-    """Filtration level k as a free rank-(k+1) module over the coefficient ring."""
-    if ring.kind not in (POLY, LAURENT):
-        raise ValueError("free filtration bases exist for the line and torus rings only")
-    if k < 0:
-        raise ValueError("negative filtration level")
-    return FiltrationBasis(ring, k)
-
-
 class FractionalIdeal:
     """Finite generator list of operators over the localized coefficient ring."""
 

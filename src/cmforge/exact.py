@@ -363,15 +363,6 @@ class BiPoly:
     def monomial(cls, r: int, s: int, c=1) -> "BiPoly":
         return cls({(r, s): rat(c)})
 
-    @classmethod
-    def from_entries(cls, entries) -> "BiPoly":
-        """entries: iterable of (r, s, coefficient)."""
-        d = {}
-        for r, s, c in entries:
-            key = (int(r), int(s))
-            d[key] = d.get(key, Fraction(0)) + rat(c)
-        return cls(d)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

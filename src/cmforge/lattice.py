@@ -9,74 +9,103 @@ and row-span questions (codimension, equality) reduce to Hermite forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .curve import AFFINE_LINE, TORUS
 from .diffop import DiffOp, FractionalIdeal, clearing_denominator
 from .errors import PreconditionError
-from .exact import Mat, PolyRing, UniPoly
+from .exact import Mat, PolyRing, UniPoly, _poly, _pseudo_divmod
 
 _PR = PolyRing("x")
 
 
-def hnf(m: Mat) -> tuple[Mat, Mat]:
-    """Row Hermite form over Q[x]: returns (H, U) with U unimodular and U*m = H.
+def hnf(m: Mat) -> tuple[Mat, int]:
+    """Row Hermite form over Q[x]: returns (H, rank), H of the shape of m.
 
     Pivots are monic and entries above a pivot have strictly lower degree,
-    so equal row spans produce identical H.
+    so equal row spans produce identical H.  The first rank rows of H are
+    nonzero and the rest are zero.  No unimodular factor is built.
+
+    The rows are primitive int coefficient lists (``_int_row``); a step of
+    the Euclidean descent pseudo-divides, row_i <- s*row_i - q*row_r, which
+    scales row_i by the unit s, and makes row_i primitive again.  Pivots
+    become monic only when the rows are converted back to UniPolys.
     """
     if not isinstance(m.ring, PolyRing):
         raise ValueError("hnf expects a matrix over a polynomial ring")
-    ring = m.ring
-    nrows, ncols = m.rows, m.cols
-    rows = [list(m.row(i)) for i in range(nrows)]
-    uni = [[ring.one() if i == j else ring.zero() for j in range(nrows)]
-           for i in range(nrows)]
-
-    def submul(i, j, q):
-        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-        uni[i] = [a - q * b for a, b in zip(uni[i], uni[j])]
-
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        uni[i], uni[j] = uni[j], uni[i]
-
+    nrows = m.rows
+    rows = [_int_row(m.row(i)) for i in range(nrows)]
     r = 0
-    for c in range(ncols):
+    for c in range(m.cols):
         if r == nrows:
             break
         # Euclidean descent on column c until a single entry survives at r
         while True:
-            live = [i for i in range(r, nrows) if not rows[i][c].is_zero]
+            live = [i for i in range(r, nrows) if rows[i][c]]
             if not live:
                 break
-            piv = min(live, key=lambda i: rows[i][c].degree())
-            if piv != r:
-                swap(r, piv)
+            piv = min(live, key=lambda i: len(rows[i][c]))
+            rows[r], rows[piv] = rows[piv], rows[r]
             done = True
             for i in range(r + 1, nrows):
-                if rows[i][c].is_zero:
-                    continue
-                q, rem = rows[i][c].divmod_(rows[r][c])
-                submul(i, r, q)
-                if not rem.is_zero:
-                    done = False
+                if rows[i][c]:
+                    q, rem, s = _pseudo_divmod(rows[i][c], rows[r][c])
+                    rows[i] = _reduce(rows[i], s, q, rows[r])
+                    done = done and not any(rem)
             if done:
                 break
-        if rows[r][c].is_zero:
+        if not rows[r][c]:
             continue
-        lead = rows[r][c].lc()
-        if lead != 1:
-            inv = 1 / lead
-            rows[r] = [p * inv for p in rows[r]]
-            uni[r] = [p * inv for p in uni[r]]
         for i in range(r):
-            if not rows[i][c].is_zero and rows[i][c].degree() >= rows[r][c].degree():
-                q, _ = rows[i][c].divmod_(rows[r][c])
-                submul(i, r, q)
+            if len(rows[i][c]) >= len(rows[r][c]):
+                q, _, s = _pseudo_divmod(rows[i][c], rows[r][c])
+                rows[i] = _reduce(rows[i], s, q, rows[r])
         r += 1
-    h = Mat.from_rows(ring, rows) if rows else Mat(ring, 0, ncols, ())
-    u = Mat.from_rows(ring, uni) if uni else Mat(ring, 0, 0, ())
-    return h, u
+    var = m.ring.var
+    out = []
+    for row in rows[:r]:
+        den = next(e for e in row if e)[-1]  # the pivot's, positive by _primitive
+        out += [_poly(var, e, den) for e in row]
+    out += [m.ring.zero()] * (m.cols * (nrows - r))
+    return Mat(m.ring, nrows, m.cols, out), r
+
+
+def _int_row(row) -> list[list[int]]:
+    """UniPolys as int coefficient lists over one lcm of their denominators,
+    made primitive."""
+    den = lcm(*[e.den for e in row])
+    return _primitive([[c * (den // e.den) for c in e.num] for e in row])
+
+
+def _primitive(row: list) -> list:
+    """An int row over its content, signed so that its first nonzero entry
+    has a positive leading coefficient; a zero row is returned as is."""
+    g = 0
+    for e in row:
+        g = gcd(g, *e)
+        if g == 1:
+            break
+    if not g:
+        return row
+    if next(e for e in row if e)[-1] < 0:
+        g = -g
+    return row if g == 1 else [[c // g for c in e] for e in row]
+
+
+def _reduce(row: list, s: int, q: list, prow: list) -> list:
+    """s*row - q*prow for int rows and an int polynomial q, made primitive."""
+    out = []
+    for a, b in zip(row, prow):
+        e = [s * c for c in a]
+        if b:
+            e += [0] * (len(q) + len(b) - 1 - len(e))
+            for i, y in enumerate(q):
+                if y:
+                    e[i:i + len(b)] = [u - y * z for u, z in zip(e[i:i + len(b)], b)]
+        while e and not e[-1]:
+            e.pop()
+        out.append(e)
+    return _primitive(out)
 
 
 @dataclass(frozen=True)
@@ -284,28 +313,33 @@ def x_saturate(m: Mat) -> Mat:
     x-valuation of the pivot, which bounds the loop.  The result is already
     triangular, so the closing Hermite form only normalises pivots and
     reduces above them.
+
+    The loop runs on the integer rows of ``hnf``: subtracting the combination
+    is t <- e*t - c*u for the saturated row u with constant pivot term e and
+    the constant term c of t in that column, made primitive again, and the
+    division by x drops the first coefficient of every entry.
     """
-    h, _ = hnf(m)
-    # constant-term pivot column -> saturated row, bottom row first
+    h, rank = hnf(m)
+    # constant-term pivot column -> saturated int row, bottom row first
     echelon: dict[int, list] = {}
-    for i in range(h.rows - 1, -1, -1):
-        row = list(h.row(i))
-        if all(e.is_zero for e in row):
-            continue
+    for i in range(rank - 1, -1, -1):
+        row = _int_row(h.row(i))
         while True:
             for p in sorted(echelon):
-                c = row[p].coeff(0)
+                c = row[p][0] if row[p] else 0
                 if c:
-                    q = c / echelon[p][p].coeff(0)
-                    row = [a - b * q for a, b in zip(row, echelon[p])]
-            lead = next((j for j, e in enumerate(row) if e.coeff(0)), None)
+                    e = echelon[p][p][0]
+                    row = _reduce(row, e, [c], echelon[p])
+            lead = next((j for j, a in enumerate(row) if a and a[0]), None)
             if lead is not None:
                 break
-            row = [e.div_xk(1) for e in row]
+            row = [a[1:] for a in row]
         echelon[lead] = row
     if not echelon:
         return Mat(m.ring, 0, m.cols, ())
-    return hnf(Mat.from_rows(m.ring, list(echelon.values())[::-1]))[0]
+    var = m.ring.var
+    return hnf(Mat.from_rows(m.ring, [[_poly(var, a, 1) for a in row]
+                                      for row in list(echelon.values())[::-1]]))[0]
 
 
 def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cmforge.curve import affine_line, hyperelliptic, torus
 from cmforge.diffop import (Coeff, CoeffRing, DiffOp, FractionalIdeal, HYPER,
-                            LAURENT, POLY, coeff_ring_for, filtration_basis)
+                            LAURENT, POLY, coeff_ring_for)
 from cmforge.exact import UniPoly
 
 PR = CoeffRing(POLY)
@@ -166,16 +166,6 @@ def test_zero_operator_contract():
 def test_ring_mismatch_rejected():
     with pytest.raises(ValueError):
         DiffOp.partial(PR).mul(DiffOp.partial(LR))
-
-
-def test_filtration_basis():
-    fb = filtration_basis(PR, 2)
-    assert fb.rank == 3
-    assert fb.labels() == ["1", "d", "d^2"]
-    with pytest.raises(ValueError):
-        filtration_basis(HR, 2)
-    with pytest.raises(ValueError):
-        filtration_basis(PR, -1)
 
 
 def test_fractional_ideal_needs_nonzero_generator():

@@ -28,29 +28,92 @@ def _pm(rows):
     return Mat.from_rows(PR, rows)
 
 
+def _nonzero_rows(m):
+    return [list(m.row(i)) for i in range(m.rows)
+            if any(not e.is_zero for e in m.row(i))]
+
+
 small_polys = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=3), min_size=0, max_size=3
 ).map(lambda cs: UniPoly("x", cs))
 
 
+def _hnf_oracle(m):
+    # the (H, U) descent on UniPoly entries that the integer-row kernel
+    # replaced: U is unimodular with U*m = H
+    ring = m.ring
+    nrows, ncols = m.rows, m.cols
+    rows = [list(m.row(i)) for i in range(nrows)]
+    uni = [[ring.one() if i == j else ring.zero() for j in range(nrows)]
+           for i in range(nrows)]
+
+    def submul(i, j, q):
+        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+        uni[i] = [a - q * b for a, b in zip(uni[i], uni[j])]
+
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            live = [i for i in range(r, nrows) if not rows[i][c].is_zero]
+            if not live:
+                break
+            piv = min(live, key=lambda i: rows[i][c].degree())
+            rows[r], rows[piv] = rows[piv], rows[r]
+            uni[r], uni[piv] = uni[piv], uni[r]
+            done = True
+            for i in range(r + 1, nrows):
+                if rows[i][c].is_zero:
+                    continue
+                q, rem = rows[i][c].divmod_(rows[r][c])
+                submul(i, r, q)
+                done = done and rem.is_zero
+            if done:
+                break
+        if rows[r][c].is_zero:
+            continue
+        inv = 1 / rows[r][c].lc()
+        rows[r] = [p * inv for p in rows[r]]
+        uni[r] = [p * inv for p in uni[r]]
+        for i in range(r):
+            if not rows[i][c].is_zero and rows[i][c].degree() >= rows[r][c].degree():
+                submul(i, r, rows[i][c].divmod_(rows[r][c])[0])
+        r += 1
+    h = Mat.from_rows(ring, rows) if rows else Mat(ring, 0, ncols, ())
+    return h, Mat.from_rows(ring, uni) if uni else Mat(ring, 0, 0, ())
+
+
+def _check_hnf(m):
+    # hnf(m) against the oracle, and the oracle against its own certificate
+    h, rank = hnf(m)
+    h_o, u_o = _hnf_oracle(m)
+    assert h == h_o
+    assert u_o.mul(m) == h_o
+    d = u_o.det()
+    assert not d.is_zero and d.degree() == 0  # unit of Q[x]
+    assert rank == len(_nonzero_rows(h_o))
+    return h
+
+
 def test_hnf_identity_fixed():
     m = Mat.identity(PR, 3)
-    h, u = hnf(m)
-    assert h == m and u == m
+    assert _check_hnf(m) == m
+    assert _hnf_oracle(m)[1] == m
 
 
 def test_hnf_reduces_above_pivot():
     # span{(x^2, 0), (x, 1)} contains x(x,1) - (x^2,0) = (0, x)
-    m = _pm([[X * X, ZERO], [X, ONE]])
-    h, u = hnf(m)
-    assert u.mul(m) == h
+    h = _check_hnf(_pm([[X * X, ZERO], [X, ONE]]))
     assert h == _pm([[X, ONE], [ZERO, X]])
 
 
 def test_hnf_monic_pivots():
-    h, u = hnf(_pm([[X * 2, UniPoly.const("x", 4)]]))
+    h = _check_hnf(_pm([[X * 2, UniPoly.const("x", 4)]]))
     assert h == _pm([[X, UniPoly.const("x", 2)]])
-    assert u.mul(_pm([[X * 2, UniPoly.const("x", 4)]])) == h
+    # a negative leading coefficient is divided out with its sign
+    h = _check_hnf(_pm([[X * -2, UniPoly.const("x", 4)]]))
+    assert h == _pm([[X, UniPoly.const("x", -2)]])
 
 
 def test_hnf_rejects_rational_matrix():
@@ -63,13 +126,41 @@ def test_hnf_rejects_rational_matrix():
                 min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_hnf_idempotent_and_unimodular(rows):
-    m = _pm(rows)
-    h, u = hnf(m)
-    assert u.mul(m) == h
-    h2, _ = hnf(h)
-    assert h2 == h
-    d = u.det()
-    assert not d.is_zero and d.degree() == 0  # unit of Q[x]
+    h = _check_hnf(_pm(rows))
+    assert hnf(h)[0] == h
+
+
+big_rats = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+big_polys = st.tuples(st.lists(big_rats, max_size=3), st.integers(0, 2)).map(
+    lambda t: UniPoly("x", t[0]).mul_xk(t[1]))
+
+
+@st.composite
+def deficient_mats(draw):
+    # base rows with large rationals, plus Q[x]-combinations of them, shuffled,
+    # each row times a power of x.  Triangular base rows keep non-unit pivots
+    # with x-power factors in the Hermite form, where x-saturation has to
+    # eliminate against the rows below before it can divide by x.
+    c = draw(st.integers(1, 3))
+    base = draw(st.lists(st.lists(big_polys, min_size=c, max_size=c),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        base = [[ZERO if j < i else e for j, e in enumerate(row)]
+                for i, row in enumerate(base)]
+    mixes = draw(st.lists(st.lists(small_polys, min_size=len(base), max_size=len(base)),
+                          min_size=1, max_size=2))
+    extra = [[sum((f * row[j] for f, row in zip(mix, base)), ZERO) for j in range(c)]
+             for mix in mixes]
+    rows = draw(st.permutations(base + extra))
+    shifts = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    return _pm([[e.mul_xk(k) for e in row] for row, k in zip(rows, shifts)])
+
+
+@given(deficient_mats())
+@settings(max_examples=60, deadline=None)
+def test_hnf_oracle_rank_deficient_large_rationals(m):
+    h = _check_hnf(m)
+    assert len(_nonzero_rows(h)) < m.rows
 
 
 def test_clearing_line_n1():
@@ -237,11 +328,6 @@ def test_x_saturate_keeps_pivot_x_without_later_column():
     assert x_saturate(m) == m
 
 
-def _nonzero_rows(m):
-    return [list(m.row(i)) for i in range(m.rows)
-            if any(not e.is_zero for e in m.row(i))]
-
-
 def _hnf_rows(rows):
     return _nonzero_rows(hnf(_pm(rows))[0])
 
@@ -269,6 +355,58 @@ def test_x_saturate_oracle(rows):
         assert _hnf_rows(h + [[e.mul_xk(k) for e in r]]) == h
     const = Mat(QQ, len(s), len(s[0]), [e.coeff(0) for r in s for e in r])
     assert const.rank() == len(s)
+
+
+def _x_saturate_oracle(m):
+    # the saturation loop on Fraction-coefficient UniPoly rows that the
+    # integer-row loop replaced, with the oracle's Hermite forms
+    h, _ = _hnf_oracle(m)
+    echelon = {}
+    for i in range(h.rows - 1, -1, -1):
+        row = list(h.row(i))
+        if all(e.is_zero for e in row):
+            continue
+        while True:
+            for p in sorted(echelon):
+                c = row[p].coeff(0)
+                if c:
+                    q = c / echelon[p][p].coeff(0)
+                    row = [a - b * q for a, b in zip(row, echelon[p])]
+            lead = next((j for j, e in enumerate(row) if e.coeff(0)), None)
+            if lead is not None:
+                break
+            row = [e.div_xk(1) for e in row]
+        echelon[lead] = row
+    if not echelon:
+        return Mat(m.ring, 0, m.cols, ())
+    return _hnf_oracle(Mat.from_rows(m.ring, list(echelon.values())[::-1]))[0]
+
+
+def test_x_saturate_matches_oracle_on_torus_spans():
+    # the inputs of criterion 8 and the torus-equivariance benchmark: spans
+    # of x^r g x^-r and of the lambda-acted ideal, matched (act r) and
+    # mismatched (act -r), at k = 2n + 6
+    for i, p in enumerate(torus_points()):
+        n = i + 1
+        base = ideal_generators(p)
+        for r in (1, -1):
+            conj = unit_conjugate(base, r)
+            for act_r in (r, -r):
+                acted = ideal_generators(lambda_act(p, act_r))
+                cl = clearing_for(conj, acted)
+                sats = []
+                for gens in (conj, acted):
+                    m = span_filtration(gens, 2 * n + 6, cl).rows
+                    sat = x_saturate(m)
+                    assert sat == _x_saturate_oracle(m)
+                    sats.append(sat)
+                assert (sats[0] == sats[1]) == (act_r == r)
+
+
+@given(deficient_mats())
+@settings(max_examples=40, deadline=None)
+def test_x_saturate_matches_oracle_large_denominators(m):
+    assert x_saturate(m) == _x_saturate_oracle(m)
 
 
 def test_module_equal_same_ideal():
