@@ -171,10 +171,9 @@ def _ideal_json(ideal: FractionalIdeal) -> dict:
             c = g.coeff(i) * mult
             if not c.is_polynomial():
                 raise RuntimeError("denominator clearing failed for %r" % (c,))
-            apoly = c.a.mul_xk(c.shift)
-            entry = [_poly_json(apoly)]
+            entry = [_poly_json(c.a)]
             if c.b is not None:
-                entry.append(_poly_json(c.b.mul_xk(c.shift)))
+                entry.append(_poly_json(c.b))
             coeffs.append(entry)
         gens.append({"denominator_x": _poly_json(D), "coeffs": coeffs})
     return {"curve": _curve_json(ideal.curve), "generators": gens}

@@ -4,6 +4,10 @@ Normal-form operators sum(c_i * d^i) with coefficients in the coordinate ring
 of a supported curve model (affine line, torus, hyperelliptic), optionally
 localized at a univariate denominator.  The normal form keeps coefficients on
 the left and derivative powers on the right.
+
+Every coefficient is stored as (a + b y) / den with den monic and coprime to
+the numerator; a torus coefficient is one of the line localized at x, so its
+negative x-powers sit in den, as they do in the JSON wire format.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ class CoeffRing:
     """Descriptor of the operator coefficient ring.
 
     poly:    Q[x]                      (affine line)
-    laurent: Q[x, 1/x]                 (torus)
+    laurent: Q[x, 1/x]                 (torus: Q[x] localized at x)
     hyper:   Q[x, y] / (y^2 - P(x))    (hyperelliptic, elements a(x) + b(x) y)
 
-    localized variants allow a shared monic denominator in x.
+    localized variants allow any monic denominator in x; the unlocalized
+    torus ring allows powers of x in the denominator.
     """
 
     __slots__ = ("kind", "P", "localized")
@@ -61,9 +66,9 @@ class CoeffRing:
 
     # element constructors -------------------------------------------------
 
-    def coeff(self, a: UniPoly, b: UniPoly | None = None, den: UniPoly | None = None,
-              shift: int = 0) -> "Coeff":
-        return Coeff(self, a, b, den, shift)
+    def coeff(self, a: UniPoly, b: UniPoly | None = None,
+              den: UniPoly | None = None) -> "Coeff":
+        return Coeff(self, a, b, den)
 
     def zero(self) -> "Coeff":
         return self.coeff(UniPoly("x", []))
@@ -110,16 +115,16 @@ _ONE = UniPoly.const("x", 1)
 
 
 class Coeff:
-    """Coefficient ring element x^shift * (a(x) + b(x) y) / den(x).
+    """Coefficient ring element (a(x) + b(x) y) / den(x).
 
-    b is None away from the hyperelliptic ring; shift is 0 away from the
-    torus ring; den is monic, coprime to the numerator content.
+    b is None away from the hyperelliptic ring; den is monic and coprime to
+    the numerator content (on the torus it may hold powers of x).
     """
 
-    __slots__ = ("ring", "a", "b", "den", "shift")
+    __slots__ = ("ring", "a", "b", "den")
 
     def __init__(self, ring: CoeffRing, a: UniPoly, b: UniPoly | None = None,
-                 den: UniPoly | None = None, shift: int = 0):
+                 den: UniPoly | None = None):
         if den is None:
             den = _ONE
         if ring.kind == HYPER:
@@ -129,16 +134,13 @@ class Coeff:
             raise ValueError("y component outside the hyperelliptic ring")
         else:
             b = None
-        if ring.kind != LAURENT and shift:
-            raise ValueError("x-power shifts exist only in the Laurent ring")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        a, b, den, shift = _normalize(ring, a, b, den, shift)
+        a, b, den = _normalize(a, b, den)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "shift", shift)
 
     def __setattr__(self, name, value):
         raise AttributeError("Coeff is immutable")
@@ -158,22 +160,17 @@ class Coeff:
 
     def __add__(self, other):
         o = self._pair(other)
-        s = min(self.shift, o.shift)
-        a1 = self.a.mul_xk(self.shift - s)
-        a2 = o.a.mul_xk(o.shift - s)
-        num_a = a1 * o.den + a2 * self.den
+        num_a = self.a * o.den + o.a * self.den
         num_b = None
         if self.b is not None:
-            b1 = self.b.mul_xk(self.shift - s)
-            b2 = o.b.mul_xk(o.shift - s)
-            num_b = b1 * o.den + b2 * self.den
-        return Coeff(self.ring, num_a, num_b, self.den * o.den, s)
+            num_b = self.b * o.den + o.b * self.den
+        return Coeff(self.ring, num_a, num_b, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Coeff(self.ring, -self.a, None if self.b is None else -self.b,
-                     self.den, self.shift)
+                     self.den)
 
     def __sub__(self, other):
         return self + (-self._pair(other))
@@ -190,23 +187,25 @@ class Coeff:
         else:
             na = self.a * o.a
             nb = None
-        return Coeff(self.ring, na, nb, self.den * o.den, self.shift + o.shift)
+        return Coeff(self.ring, na, nb, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Coeff":
         """Multiplicative inverse; requires a localized ring unless the result
-        stays denominator-free."""
+        stays denominator-free, or its denominator is a power of x, a unit on
+        the torus."""
         if self.is_zero:
             raise ZeroDivisionError("inverting zero coefficient")
         if self.b is not None:
             q = self.a * self.a - self.b * self.b * self.ring.P
             if q.is_zero:
                 raise ZeroDivisionError("norm vanishes; element is a zero divisor")
-            out = Coeff(self.ring, self.den * self.a, -(self.den * self.b), q, 0)
+            out = Coeff(self.ring, self.den * self.a, -(self.den * self.b), q)
         else:
-            out = Coeff(self.ring, self.den, None, self.a, -self.shift)
-        if not self.ring.localized and out.den.degree() > 0:
+            out = Coeff(self.ring, self.den, None, self.a)
+        if not self.ring.localized and out.den.degree() > (
+                out.den.x_valuation() if self.ring.kind == LAURENT else 0):
             raise ValueError("element is not a unit in the unlocalized ring")
         return out
 
@@ -218,11 +217,10 @@ class Coeff:
                 return NotImplemented
         if not self.ring.compatible(other.ring):
             return False
-        return (self.a == other.a and self.b == other.b
-                and self.den == other.den and self.shift == other.shift)
+        return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
-        return hash((self.a, self.b, self.den, self.shift))
+        return hash((self.a, self.b, self.den))
 
     def derive(self) -> "Coeff":
         """Image under the model derivation (d/dx, or the hyperelliptic one)."""
@@ -234,16 +232,12 @@ class Coeff:
             #   z(a + b y) = (2 b' P + b P') + (2 a') y,  z(d) = 2 d' y
             num_a = (b.derivative() * P * 2 + b * P.derivative()) * d - (b * d.derivative() * 2) * P
             num_b = (a.derivative() * 2) * d - (a * d.derivative() * 2)
-            return Coeff(ring, num_a, num_b, d * d, 0)
-        n, d, s = self.a, self.den, self.shift
-        if ring.kind == LAURENT:
-            # d/dx of x^s n/d = x^(s-1) (s n d + x (n' d - n d')) / d^2
-            num = n * d * s + (n.derivative() * d - n * d.derivative()).mul_xk(1)
-            return Coeff(ring, num, None, d * d, s - 1)
-        return Coeff(ring, n.derivative() * d - n * d.derivative(), None, d * d, 0)
+            return Coeff(ring, num_a, num_b, d * d)
+        n, d = self.a, self.den
+        return Coeff(ring, n.derivative() * d - n * d.derivative(), None, d * d)
 
     def is_polynomial(self) -> bool:
-        return self.den.degree() == 0 and self.shift >= 0
+        return self.den.degree() == 0
 
     def as_poly(self) -> UniPoly:
         """Collapse to a plain polynomial in x (line/torus, polynomial case)."""
@@ -251,7 +245,7 @@ class Coeff:
             raise ValueError("element has a y component")
         if not self.is_polynomial():
             raise ValueError("element has a denominator: %r" % (self,))
-        return self.a.mul_xk(self.shift)
+        return self.a
 
     def __repr__(self):
         core = repr(self.a)
@@ -259,14 +253,12 @@ class Coeff:
             core = "(%s) + (%s)*y" % (self.a, self.b)
         if self.den.degree() > 0:
             core = "(%s)/(%s)" % (core, self.den)
-        if self.shift:
-            core = "x^%d*(%s)" % (self.shift, core)
         return core
 
 
-def _normalize(ring, a, b, den, shift):
+def _normalize(a, b, den):
     if a.is_zero and (b is None or b.is_zero):
-        return _ZERO, (None if b is None else _ZERO), _ONE, 0
+        return _ZERO, (None if b is None else _ZERO), _ONE
     # reduce the common polynomial content
     g = a.gcd(den) if b is None else a.gcd(b).gcd(den)
     if not g.is_zero and g.degree() > 0:
@@ -281,17 +273,7 @@ def _normalize(ring, a, b, den, shift):
         den = den * inv
         if b is not None:
             b = b * inv
-    if ring.kind == LAURENT:
-        # move x-powers between numerator, denominator and the shift
-        v = den.x_valuation()
-        if v:
-            den = den.div_xk(v)
-            shift -= v
-        va = a.x_valuation()
-        if va:
-            a = a.div_xk(va)
-            shift += va
-    return a, b, den, shift
+    return a, b, den
 
 
 class CoeffMatRing(RingBase):
@@ -457,18 +439,14 @@ class DiffOp:
 
 
 def clearing_denominator(ops) -> UniPoly:
-    """Least monic D(x) with c * D polynomial for every coefficient c of ops.
-
-    D is the lcm of all coefficient denominators times x**shift, where shift
-    clears the most negative torus x-power (0 off the torus).
-    """
+    """Least monic D(x) with c * D polynomial for every coefficient c of ops:
+    the lcm of all coefficient denominators (on the torus these hold the
+    x-powers too)."""
     den = _ONE
-    shift = 0
     for op in ops:
         for c in op.coeffs:
             den = den.lcm(c.den)
-            shift = max(shift, -c.shift)
-    return den.mul_xk(shift)
+    return den
 
 
 class FractionalIdeal:

@@ -769,9 +769,6 @@ class Mat:
     def col(self, j: int):
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def add(self, other: "Mat") -> "Mat":
         self._check_shape(other)
         rg = self.ring
@@ -922,12 +919,6 @@ class Mat:
             if r == self.rows:
                 break
         return a, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def nullspace_dim(self) -> int:
-        return self.cols - self.rank()
 
     def adjugate(self) -> "Mat":
         """Adjugate by cofactor expansion (intended for small matrices)."""

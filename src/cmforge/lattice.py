@@ -112,8 +112,8 @@ def _reduce(row: list, s: int, q: list, prow: list) -> list:
 class ClearingData:
     """Right multiplier den**power clearing every generator to Q[x] rows.
 
-    For torus ideals den carries the factor x**shift that removes negative
-    x-powers as well; the multiplier is a unit there, which leaves
+    For torus ideals den holds the x-powers of the coefficient denominators
+    as well; that part of the multiplier is a unit there, which leaves
     codimensions and span comparisons unchanged as long as both sides of a
     comparison are cleared with the same data.
     """
@@ -128,7 +128,8 @@ class ClearingData:
 def clearing_for(*ideals: FractionalIdeal) -> ClearingData:
     """Common clearing for one or more ideals over the same model.
 
-    den is diffop.clearing_denominator over all generators; power is one
+    den is diffop.clearing_denominator over all generators, the lcm of their
+    coefficient denominators (x-powers included on the torus); power is one
     more than the maximal generator order, which is enough because the j-th
     derivative of den**power is still divisible by den**(power - j).
     """
@@ -368,8 +369,8 @@ def unit_conjugate(gens: FractionalIdeal, r: int) -> FractionalIdeal:
     """Conjugate every generator by the unit x**r (torus only)."""
     if gens.curve.kind != TORUS:
         raise ValueError("unit conjugation needs x invertible (torus model)")
-    ring = gens.generators[0].ring
-    xr = DiffOp.from_coeff(ring.coeff(UniPoly.const("x", 1), shift=r))
-    xmr = DiffOp.from_coeff(ring.coeff(UniPoly.const("x", 1), shift=-r))
+    xk = gens.generators[0].ring.coeff(UniPoly.monomial("x", abs(r)))
+    xr, xmr = (xk, xk.inv()) if r >= 0 else (xk.inv(), xk)
+    xr, xmr = DiffOp.from_coeff(xr), DiffOp.from_coeff(xmr)
     return FractionalIdeal(gens.curve,
                            tuple(xr.mul(g).mul(xmr) for g in gens.generators))

@@ -109,7 +109,6 @@ def _oracle_rows(ideal, kmax):
     order, built with operator arithmetic only (no Hermite-form code)."""
     ring = ideal.generators[0].ring
     den = UniPoly.const("x", 1)
-    shift = 0
     maxo = max(g.order() for g in ideal.generators)
     for g in ideal.generators:
         for i in range(g.order() + 1):
@@ -118,8 +117,7 @@ def _oracle_rows(ideal, kmax):
                 continue
             common = den.gcd(c.den)
             den = (den * c.den).divmod_(common)[0].monic()
-            shift = max(shift, -c.shift)
-    mult = den.mul_xk(shift) ** (maxo + 1)
+    mult = den ** (maxo + 1)
     mop = DiffOp.from_coeff(ring.from_poly(mult))
     partial = DiffOp.partial(ring)
     rows = []

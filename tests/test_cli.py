@@ -95,6 +95,64 @@ def test_parse_ideal_rejects_pair_coeff_on_line():
         _parse_ideal(d)
 
 
+# -- torus ideals whose denominator_x holds powers of x -----------------------
+# (generic torus points have x_i != 0, so forged ideals never have one)
+
+
+def _torus_ideal(*gens):
+    return {"curve": {"kind": "Torus"},
+            "generators": [{"coeffs": c, "denominator_x": d} for d, c in gens]}
+
+
+# (document, its ideal JSON, its codim report at --kmax 3)
+_X_DENOMINATOR_IDEALS = [
+    # 2x^3/x^2 keeps an x in the numerator, 1/x^2 keeps x^2 in the denominator
+    (_torus_ideal((["0", "0", "1"], [[["0", "0", "0", "2"]], [["1"]]]),
+                  (["1"], [[["1"]], [["0", "1"]], [["1"]]])),
+     None,
+     {"ambient_pivot": ["0", "0", "0", "0", "1"],
+      "entries": [[0, None], [1, None], [2, 6], [3, 0]], "kmax": 3, "stabilized": None}),
+    # x/x^3 = 1/x^2 and x^3/x^3 = 1: the shared denominator drops to x^2
+    (_torus_ideal((["0", "0", "0", "1"], [[["0", "1"]], [["0", "0", "0", "1"]]]),
+                  (["0", "1"], [[["0", "0", "3"]], [["-1"]]])),
+     _torus_ideal((["0", "0", "1"], [[["1"]], [["0", "0", "1"]]]),
+                  (["0", "1"], [[["0", "0", "3"]], [["-1"]]])),
+     {"ambient_pivot": ["0", "0", "0", "1"],
+      "entries": [[0, None], [1, 4], [2, 0], [3, 0]], "kmax": 3, "stabilized": None}),
+    # the mixed denominator x(x - 1)
+    (_torus_ideal((["0", "-1", "1"], [[["-1", "1"]], [["0", "2"]], [["5"]]]),
+                  (["1"], [[["0", "1"]], [["1"]]])),
+     None,
+     {"ambient_pivot": ["0", "0", "1", "-2", "1"],
+      "entries": [[0, None], [1, None], [2, 4], [3, 2]], "kmax": 3, "stabilized": None}),
+]
+
+
+@pytest.mark.parametrize("doc, ideal, report", _X_DENOMINATOR_IDEALS,
+                         ids=["x-in-numerator", "x-cancels", "mixed"])
+def test_x_denominator_ideal_bytes(tmp_path, doc, ideal, report):
+    assert _ideal_json(_parse_ideal(doc)) == (ideal or doc)
+    out = tmp_path / "c.json"
+    assert main(["codim", _write(tmp_path, "i.json", doc), "--kmax", "3",
+                 "-o", str(out)]) == 0
+    assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_unit_conjugate_ideal_bytes():
+    from cmforge.lattice import unit_conjugate
+    base = ideal_generators(torus_points()[1])
+    order0 = (["1"], [[["2", "-3", "1"]]])
+    want = {
+        -1: _torus_ideal(order0, (["0", "4", "-12", "13", "-6", "1"], [
+            [["-6", "14", "-18", "14", "-6", "1"]], [["8", "-30", "39", "-21", "4"]],
+            [["0", "4", "-12", "13", "-6", "1"]]])),
+        1: _torus_ideal(order0, (["0", "0", "4", "-12", "13", "-6", "1"], [
+            [["8", "-18", "14", "-12", "12", "-6", "1"]], [["0", "-8", "18", "-13", "3"]],
+            [["0", "0", "4", "-12", "13", "-6", "1"]]])),
+    }
+    for r, doc in want.items():
+        assert _ideal_json(unit_conjugate(base, r)) == doc
+
 # -- pipelines through main() -------------------------------------------------
 
 

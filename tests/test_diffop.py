@@ -40,14 +40,8 @@ def test_coeff_normalization_cancels_content():
 def test_laurent_shift_normalization():
     x = UniPoly.x("x")
     c = LR.coeff(x * x * 3, den=x ** 4)
-    assert c.shift == -2
     assert c.a == UniPoly.const("x", 3)
-    assert c.den == UniPoly.const("x", 1)
-
-
-def test_shift_outside_laurent_rejected():
-    with pytest.raises(ValueError):
-        PR.coeff(UniPoly.const("x", 1), shift=-1)
+    assert c.den == x * x
 
 
 def test_y_outside_hyper_rejected():
@@ -71,6 +65,11 @@ def test_coeff_inverse():
         PR.x().inv()  # not a unit without localization
     u = LR.x()
     assert u * u.inv() == LR.one()  # x is a unit on the torus
+    # ... but only pure powers of x are: x - 1 still needs the localization
+    with pytest.raises(ValueError):
+        LR.coeff(UniPoly("x", [-1, 1])).inv()
+    x3 = UniPoly("x", [0, 0, 0, 2])
+    assert LR.coeff(x3).inv() == LR.coeff(UniPoly.const("x", 1), den=x3)
 
 
 def test_hyper_inverse_via_norm():
@@ -82,9 +81,10 @@ def test_hyper_inverse_via_norm():
 def test_derive_poly_and_laurent():
     assert PR.x().derive() == PR.one()
     # d/dx x^(-1) = -x^(-2)
-    c = LR.coeff(UniPoly.const("x", 1), shift=-1)
+    x = UniPoly.x("x")
+    c = LR.coeff(UniPoly.const("x", 1), den=x)
     d = c.derive()
-    assert d.shift == -2 and d.a == UniPoly.const("x", -1)
+    assert d.den == x * x and d.a == UniPoly.const("x", -1)
 
 
 def test_derive_hyper_generators():
@@ -173,3 +173,66 @@ def test_fractional_ideal_needs_nonzero_generator():
         FractionalIdeal(affine_line(), [DiffOp.zero(PR)])
     ideal = FractionalIdeal(affine_line(), [DiffOp.partial(PR)])
     assert len(ideal.generators) == 1
+
+
+# --- sympy oracle for coefficient arithmetic (sympy is test-only) -----------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _expr(sympy, p):
+    x = sympy.Symbol("x")
+    return sum((sympy.Rational(c.numerator, c.denominator) * x ** i
+                for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _check(sympy, c, want):
+    """c equals the rational function want and is in canonical form: den monic
+    and coprime to the numerator."""
+    x = sympy.Symbol("x")
+    a, den = _expr(sympy, c.a), _expr(sympy, c.den)
+    assert c.den.lc() == 1
+    assert sympy.Poly(a, x, domain=sympy.QQ).gcd(sympy.Poly(den, x, domain=sympy.QQ)).degree() == 0
+    assert sympy.cancel(a / den - want) == 0
+
+
+def localized_elements(ring):
+    """Elements p(x) / (x^k q(x)) of ring as (Coeff, (p, k, q)); q is constant
+    in the unlocalized torus ring, and p often carries an x-power of its own."""
+    qlen = 3 if ring.localized else 1
+    return st.tuples(
+        st.builds(UniPoly.mul_xk, st.lists(fracs, max_size=4).map(lambda cs: UniPoly("x", cs)),
+                  st.integers(0, 3)),
+        st.integers(0, 3),
+        st.lists(fracs, min_size=1, max_size=qlen).filter(any).map(lambda cs: UniPoly("x", cs)),
+    ).map(lambda t: (ring.coeff(t[0], den=t[2].mul_xk(t[1])), t))
+
+
+@pytest.mark.parametrize("ring", [PRL, LR.as_localized(), LR],
+                         ids=["line-localized", "torus-localized", "torus"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_coeff_arithmetic_matches_sympy(sympy, ring, data):
+    (f, fraw), (g, graw) = data.draw(localized_elements(ring)), data.draw(localized_elements(ring))
+    x = sympy.Symbol("x")
+    sf, sg = [_expr(sympy, p) / (x ** k * _expr(sympy, q)) for p, k, q in (fraw, graw)]
+    _check(sympy, f, sympy.cancel(sf))
+    _check(sympy, g, sympy.cancel(sg))
+    _check(sympy, f + g, sympy.cancel(sf + sg))
+    _check(sympy, f - g, sympy.cancel(sf - sg))
+    _check(sympy, f * g, sympy.cancel(sf * sg))
+    _check(sympy, f.derive(), sympy.cancel(sympy.diff(sf, x)))
+    if f.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            f.inv()
+        return
+    want = sympy.cancel(1 / sf)
+    # off the localization only x-powers may be inverted
+    if ring.localized or sympy.Poly(sympy.denom(want), x).is_monomial:
+        _check(sympy, f.inv(), want)
+    else:
+        with pytest.raises(ValueError):
+            f.inv()
