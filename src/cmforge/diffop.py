@@ -31,7 +31,8 @@ class CoeffRing:
     hyper:   Q[x, y] / (y^2 - P(x))    (hyperelliptic, elements a(x) + b(x) y)
 
     localized variants allow any monic denominator in x; the unlocalized
-    torus ring allows powers of x in the denominator.
+    torus ring allows powers of x in the denominator, and Coeff rejects any
+    other denominator in an unlocalized ring.
     """
 
     __slots__ = ("kind", "P", "localized")
@@ -137,6 +138,10 @@ class Coeff:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         a, b, den = _normalize(a, b, den)
+        if not ring.localized and den.degree() > (
+                den.x_valuation() if ring.kind == LAURENT else 0):
+            raise ValueError("denominator %r outside the unlocalized ring %r"
+                             % (den, ring))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -192,22 +197,17 @@ class Coeff:
     __rmul__ = __mul__
 
     def inv(self) -> "Coeff":
-        """Multiplicative inverse; requires a localized ring unless the result
-        stays denominator-free, or its denominator is a power of x, a unit on
-        the torus."""
+        """Multiplicative inverse; in an unlocalized ring the constructor
+        rejects it unless it stays denominator-free, or its denominator is a
+        power of x, a unit on the torus."""
         if self.is_zero:
             raise ZeroDivisionError("inverting zero coefficient")
         if self.b is not None:
             q = self.a * self.a - self.b * self.b * self.ring.P
             if q.is_zero:
                 raise ZeroDivisionError("norm vanishes; element is a zero divisor")
-            out = Coeff(self.ring, self.den * self.a, -(self.den * self.b), q)
-        else:
-            out = Coeff(self.ring, self.den, None, self.a)
-        if not self.ring.localized and out.den.degree() > (
-                out.den.x_valuation() if self.ring.kind == LAURENT else 0):
-            raise ValueError("element is not a unit in the unlocalized ring")
-        return out
+            return Coeff(self.ring, self.den * self.a, -(self.den * self.b), q)
+        return Coeff(self.ring, self.den, None, self.a)
 
     def __eq__(self, other):
         if not isinstance(other, Coeff):

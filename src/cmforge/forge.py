@@ -6,18 +6,28 @@ delta_V, the correction element kappa, and the generator emission
     det(X - x Id) * v_i,   det(Y - y Id) * v_i  (plane models),
     det(Z - z Id) * kappa(v_i)   (normal-ordered where supported).
 
-Ordered products keep each matrix factor univariate in one operator symbol
-(x, y, or the derivation symbol z); the written left-to-right order is the
-operator order, so the only noncommutativity lives across factors and is
-resolved once, during normal ordering.
+kappa and delta_V are ordered products: each matrix factor is univariate in
+one operator symbol (x, y, or the derivation symbol z), the written
+left-to-right order is the operator order, and normal_order resolves the
+noncommutativity across factors once.
+
+ideal_generators does not go through them on the line, the torus and
+hyperelliptic curves.  There the z-generator is written in closed form:
+adj(A - t Id) * v comes from a recurrence over Q (_adjugate_times), so the
+z^k coefficient of det(Z - z Id) * kappa(v) is e_k = N_k / gx with N_k a
+polynomial (gx the characteristic polynomial of X), and d^k * e_k is
+normal-ordered by sum_m C(k, m) e_k^(k-m) d^m, each derivative kept as a
+numerator over a power of gx.  No z-denominator can arise on that path; it
+can only in kappa and normal_order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exact import (Mat, QQ, UniPoly, PolyRing, RatFunc, RatFuncRing,
-                    char_poly, bipoly_apply)
+from .exact import (Mat, QQ, UniPoly, RatFunc, RatFuncRing, char_poly,
+                    bipoly_apply)
 from .errors import PreconditionError
 from . import curve as curvemod
 from .cmspace import CMPoint, verify_relations
@@ -328,16 +338,95 @@ def _ypoly_to_coeff(q: UniPoly, ring: CoeffRing) -> Coeff:
     return Coeff(ring, a, b)
 
 
-def _adjugate_z_factor(p: CMPoint, sign: int) -> Mat:
-    """sign * vbar^t * adj(Z^t - z Id) as a 1 x n matrix over Q(z)."""
-    zpoly = PolyRing("z")
+def _adjugate_times(A: Mat, f: UniPoly, v) -> list:
+    """Vectors c_0..c_{n-1} over Q with adj(A - t Id) * v = sum_k t^k c_k.
+
+    f = det(A - t Id) = sum_k f_k t^k.  Comparing coefficients of t in
+    (A - t Id) * adj(A - t Id) = f * Id gives c_{n-1} = -f_n v and
+    c_{k-1} = A c_k - f_k v: n - 1 matrix-vector products over Q.
+    """
+    n = A.rows
+    fk = f.coeffs
+    rows = [A.row(i) for i in range(n)]
+    c = [-fk[n] * e for e in v]
+    out = [c]
+    for k in range(n - 1, 0, -1):
+        c = [sum(a * e for a, e in zip(r, c)) - fk[k] * ve
+             for r, ve in zip(rows, v)]
+        out.append(c)
+    out.reverse()
+    return out
+
+
+def _z_rows(p: CMPoint, det_z: UniPoly) -> list:
+    """Rows u_k over Q with sign * vbar^t * adj(Z^t - z Id) = sum_k z^k u_k
+    (one framing pair).  adj(Z^t - z Id) = adj(Z - z Id)^t, so u_k is sign
+    times the z^k vector of adj(Z - z Id) * vbar."""
+    sign = _kappa_sign(p.curve)
+    return [[sign * e for e in c]
+            for c in _adjugate_times(p.Zmat, det_z, p.vs[0].col(0))]
+
+
+def _x_numerators(us: list, cols: list) -> list:
+    """N_k = sum_m x^m (u_k . c_m): u_k times sum_m x^m c_m, as a polynomial."""
+    return [UniPoly("x", [sum(a * b for a, b in zip(u, c)) for c in cols])
+            for u in us]
+
+
+def _z_generator(p: CMPoint, ring: CoeffRing, gx: UniPoly, det_z: UniPoly) -> DiffOp:
+    """det(Z - z Id) + sum_k d^k e_k, normal-ordered, for a line, torus or
+    hyperelliptic point with one framing pair.
+
+    e_k = u_k (X^t - x Id)^{-1} [(Y^t + y Id)] w^t, and (X^t - x Id)^{-1} is
+    adj(X^t - x Id) / gx, so e_k = (A_k + B_k y) / gx: A_k from the column
+    adj(X^t - x Id) w^t (Y^t w^t on the hyperelliptic curve, whose B_k comes
+    from w^t).  d^k e_k = sum_m C(k, m) e_k^(k-m) d^m; the j-th derivative
+    of (A + B y) / gx is kept as its numerator over gx^(j+1), and each
+    coefficient of d^m is built once over gx^(n-m).
+    """
     n = p.n
-    Zt = p.Zmat.transpose()
-    shifted = _lift(Zt, zpoly).sub(Mat.identity(zpoly, n).scalar_mul(zpoly.gen()))
-    adj = shifted.adjugate()
-    vrow = _lift(_vbar_t(p), zpoly).mul(adj).scalar_mul(zpoly.from_int(sign))
-    zring = RatFuncRing("z")
-    return vrow.map_entries(RatFunc.from_poly, zring)
+    us = _z_rows(p, det_z)
+    Xt = p.Xmat.transpose()
+    w = p.ws[0].row(0)
+    hyper = ring.kind == HYPER
+    if hyper:
+        # (Y^t + y Id) w^t = (w Y)^t + y w^t
+        As = _x_numerators(us, _adjugate_times(Xt, gx, p.ws[0].mul(p.Ymat).row(0)))
+        Bs = _x_numerators(us, _adjugate_times(Xt, gx, w))
+        P = ring.P
+        dP = P.derivative()
+    else:
+        As = _x_numerators(us, _adjugate_times(Xt, gx, w))
+        Bs = [None] * n
+    dg = gx.derivative()
+
+    def derive(a, b, j):
+        # numerator over gx^(j+2) of the derivative of (a + b y) / gx^(j+1);
+        # on the hyperelliptic curve d(x) = 2y, d(y) = P'
+        if b is None:
+            return a.derivative() * gx - a * dg * (j + 1), None
+        return ((b.derivative() * P * 2 + b * dP) * gx - b * P * dg * (2 * (j + 1)),
+                a.derivative() * gx * 2 - a * dg * (2 * (j + 1)))
+
+    gpow = [UniPoly.const("x", 1)]
+    for _ in range(n):
+        gpow.append(gpow[-1] * gx)
+    # numerators of the d^m coefficient over gx^(n-m), seeded with det_z
+    num_a = [gpow[n - m] * det_z.coeff(m) for m in range(n + 1)]
+    num_b = [UniPoly("x", []) if hyper else None] * (n + 1)
+    for k, (a, b) in enumerate(zip(As, Bs)):
+        # e_k^(j) sits over gx^(j+1) = gx^(k-m+1); lift it to gx^(n-m)
+        lift = gpow[n - 1 - k]
+        for j in range(k + 1):
+            m = k - j
+            scale = lift * math.comb(k, m)
+            num_a[m] = num_a[m] + a * scale
+            if b is not None:
+                num_b[m] = num_b[m] + b * scale
+            if j < k:
+                a, b = derive(a, b, j)
+    return DiffOp(ring, [Coeff(ring, num_a[m], num_b[m], gpow[n - m])
+                         for m in range(n + 1)])
 
 
 def ideal_generators(p: CMPoint):
@@ -368,16 +457,17 @@ def ideal_generators(p: CMPoint):
 
     gx = char_poly(p.Xmat, "x")
     det_z = char_poly(p.Zmat, "z")
-    correction = OrderedProduct(
-        _correction_factors(p, 0, _adjugate_z_factor(p, _kappa_sign(c))))
 
     if general_plane:
+        zring = RatFuncRing("z")
+        zrow = Mat(zring, 1, p.n, [RatFunc.from_poly(UniPoly("z", col))
+                                   for col in zip(*_z_rows(p, det_z))])
+        correction = OrderedProduct(_correction_factors(p, 0, zrow))
         gy = char_poly(p.Ymat, "y")
         return SymbolicGenerators(c, gx, gy, det_z, correction)
 
     gens = [DiffOp(ring, [ring.from_poly(gx)])]
     if c.is_hyperelliptic:
         gens.append(DiffOp(ring, [_ypoly_to_coeff(char_poly(p.Ymat, "y"), ring)]))
-    base = DiffOp(ring, [ring.from_frac(cc) for cc in det_z.coeffs])
-    gens.append(base.add(normal_order(correction, ring)))
+    gens.append(_z_generator(p, ring, gx, det_z))
     return FractionalIdeal(c, gens)

@@ -72,6 +72,21 @@ def test_coeff_inverse():
     assert LR.coeff(x3).inv() == LR.coeff(UniPoly.const("x", 1), den=x3)
 
 
+def test_unlocalized_rings_reject_foreign_denominators():
+    one = UniPoly.const("x", 1)
+    with pytest.raises(ValueError, match="outside the unlocalized ring"):
+        PR.coeff(one, den=UniPoly("x", [-1, 1]))  # 1/(x - 1) is not in Q[x]
+    with pytest.raises(ValueError, match="outside the unlocalized ring"):
+        LR.coeff(one, den=UniPoly("x", [-2, 1]))  # 1/(x - 2) is not in Q[x, 1/x]
+    x3 = UniPoly.monomial("x", 3)
+    assert LR.coeff(one, den=x3).den == x3  # 1/x^3 is a torus unit
+    with pytest.raises(ValueError, match="outside the unlocalized ring"):
+        HR.coeff(one, one, den=UniPoly.x("x"))  # (1 + y)/x
+    # a denominator that cancels stays in the ring, and localizing admits any
+    assert PR.coeff(UniPoly("x", [-1, 1]), den=UniPoly("x", [-1, 1])) == PR.one()
+    assert PRL.coeff(one, den=UniPoly("x", [-1, 1])).den == UniPoly("x", [-1, 1])
+
+
 def test_hyper_inverse_via_norm():
     hl = HR.as_localized()
     c = hl.y() + hl.one()  # 1 + y, norm 1 - (x^3 + 1) = -x^3

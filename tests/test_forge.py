@@ -1,18 +1,25 @@
 """Generator emission: delta_V, kappa, normal ordering, ideal_generators."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from battery import (cubic_minus_x, cubic_plus_one, full_battery, line_points,
-                     torus_points)
-from cmforge.cmspace import CMPoint, generic_point, verify_relations
+from battery import (cubic_minus_x, cubic_plus_one, full_battery, hyper_points,
+                     line_points, torus_points)
+from cmforge.cli import _ideal_json
+from cmforge.cmspace import (CMPoint, commutant_dim, generic_point, lambda_act,
+                             tangent_dim, verify_relations)
 from cmforge.curve import affine_line, plane_curve, torus
 from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY, coeff_ring_for
 from cmforge.errors import PreconditionError
-from cmforge.exact import BiPoly, Mat, QQ, RatFuncRing, UniPoly
-from cmforge.forge import (OrderedProduct, SymbolicGenerators, delta_V,
+from cmforge.exact import (BiPoly, Mat, PolyRing, QQ, RatFunc, RatFuncRing, UniPoly,
+                           char_poly)
+from cmforge.forge import (OrderedProduct, SymbolicGenerators, _correction_factors,
+                           _lift, _vbar_t, _ypoly_to_coeff, delta_V,
                            ideal_generators, kappa, normal_order)
+from cmforge.lattice import codim
 
 
 def _parabola_point():
@@ -177,3 +184,118 @@ def test_torus_generators_live_in_laurent_ring():
     for g in ideal.generators:
         for c in g.coeffs:
             assert c.ring.compatible(ring)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form z-generator against the general construction
+# ---------------------------------------------------------------------------
+
+
+def _oracle_zrow(p, sign):
+    """sign * vbar^t adj(Z^t - z Id) from cofactor determinants."""
+    zpoly = PolyRing("z")
+    shifted = _lift(p.Zmat.transpose(), zpoly).sub(
+        Mat.identity(zpoly, p.n).scalar_mul(zpoly.gen()))
+    zrow = _lift(_vbar_t(p), zpoly).mul(shifted.adjugate()).scalar_mul(zpoly.from_int(sign))
+    return zrow.map_entries(RatFunc.from_poly, RatFuncRing("z"))
+
+
+def _oracle_ideal(p):
+    """ideal_generators the general way: the z-row -vbar^t adj(Z^t - z Id)
+    from cofactor determinants, then det(Z - z Id) plus the normal-ordered
+    product (X^t - x Id)^{-1} [(Y^t + y Id)] w^t through DiffOp.mul."""
+    c = p.curve
+    ring = coeff_ring_for(c, localized=True)
+    zrow = _oracle_zrow(p, -1)
+    det_z = char_poly(p.Zmat, "z")
+    gens = [DiffOp(ring, [ring.from_poly(char_poly(p.Xmat, "x"))])]
+    if c.is_hyperelliptic:
+        gens.append(DiffOp(ring, [_ypoly_to_coeff(char_poly(p.Ymat, "y"), ring)]))
+    base = DiffOp(ring, [ring.from_frac(cc) for cc in det_z.coeffs])
+    gens.append(base.add(normal_order(
+        OrderedProduct(_correction_factors(p, 0, zrow)), ring)))
+    return FractionalIdeal(c, gens)
+
+
+def _conjugate(p, g):
+    """g.p.g^-1: X, Y, Z conjugated, v -> g v, w -> w g^-1."""
+    gi = g.inv()
+
+    def conj(m):
+        return None if m is None else g.mul(m).mul(gi)
+
+    return CMPoint(p.curve, p.n, conj(p.Xmat), conj(p.Ymat), conj(p.Zmat),
+                   [g.mul(v) for v in p.vs], [w.mul(gi) for w in p.ws])
+
+
+def _random_gl(rng, n):
+    while True:
+        g = Mat(QQ, n, n, [Fraction(rng.randint(-3, 3)) for _ in range(n * n)])
+        if g.det() != 0:
+            return g
+
+
+def _fourier(p):
+    """(X, Z, v, w) -> (Z, -X, v, w) on a line point; keeps [Z, X] - I = v w."""
+    return CMPoint(p.curve, p.n, p.Zmat, None, p.Xmat.neg(), p.vs, p.ws)
+
+
+def _fourier_points():
+    line = affine_line()
+    return [_fourier(generic_point(line, [0, 1], [1, -1])),
+            _fourier(generic_point(line, [0, 1], [3, 1])),
+            _fourier(generic_point(line, [0, 1, 2]))]
+
+
+def _forge_bytes(p):
+    return json.dumps(_ideal_json(ideal_generators(p)), sort_keys=True, indent=2)
+
+
+def test_fourier_points_are_collisions():
+    # non-semisimple or irrational spectra of X, unlike any generic_point
+    x = UniPoly.x("x")
+    want = [x * x, (x - 2) * (x - 2), -(x * x * x) - x * Fraction(9, 4)]
+    for p, gx in zip(_fourier_points(), want):
+        assert char_poly(p.Xmat, "x") == gx
+
+
+def test_z_generator_matches_general_construction():
+    rng = random.Random(8)
+    pts = list(full_battery())
+    for c in (affine_line(), torus()):
+        for n in range(1, 6):
+            alphas = [rng.choice([-2, -1, 1, 2]) for _ in range(n)]
+            p = generic_point(c, rng.sample(range(1, 10), n), alphas)
+            pts += [p, _conjugate(p, _random_gl(rng, n))]
+    pts += _fourier_points()
+    pts += [lambda_act(p, r) for p in torus_points() for r in (1, -1)]
+    pts += [_conjugate(p, _random_gl(rng, p.n)) for p in hyper_points()]
+    for p in pts:
+        assert ideal_generators(p) == _oracle_ideal(p), (p, p.Xmat, p.Zmat)
+    # a general plane model keeps the ordered product, with the z-row's sign +
+    for p in (_parabola_point(), _conjugate(_parabola_point(), _random_gl(rng, 2))):
+        zrow = ideal_generators(p).correction.factors[0][1]
+        assert zrow == _oracle_zrow(p, 1)
+
+
+def test_forge_is_gauge_invariant():
+    # forge is a function on the Calogero-Moser space: the JSON is the same
+    # for every point of a GL_n orbit and under (v, w) -> (c v, w / c)
+    rng = random.Random(11)
+    for p in full_battery():
+        want = _forge_bytes(p)
+        assert _forge_bytes(_conjugate(p, _random_gl(rng, p.n))) == want
+        scaled = CMPoint(p.curve, p.n, p.Xmat, p.Ymat, p.Zmat,
+                         [v.scalar_mul(Fraction(3, 7)) for v in p.vs],
+                         [w.scalar_mul(Fraction(7, 3)) for w in p.ws])
+        assert _forge_bytes(scaled) == want
+
+
+def test_fourier_collision_points():
+    for p in _fourier_points():
+        n = p.n
+        assert verify_relations(p).ok
+        ideal = ideal_generators(p)
+        assert codim(ideal, 3 * n + 2).stabilized == n
+        assert tangent_dim(p) == n * n + 2 * n
+        assert commutant_dim(p) == 1
