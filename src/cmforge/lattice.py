@@ -4,6 +4,11 @@ Operators are compared through their coefficient rows over Q[x]: every
 generator is cleared to polynomial form by one recorded right multiplier,
 the filtration level k span is assembled as a matrix of derivative rows,
 and row-span questions (codimension, equality) reduce to Hermite forms.
+One descent (``_descend``) gives the Hermite form over Q[x] (``hnf``) and,
+on the torus, over Q[x, 1/x] (``x_saturate``), where x is a unit: there
+pivots are normalised in their row's own frame (the row over the pivot's
+x-power) and entries above a pivot are reduced into a residue window of
+that frame.
 """
 
 from __future__ import annotations
@@ -24,57 +29,138 @@ def hnf(m: Mat) -> tuple[Mat, int]:
 
     Pivots are monic and entries above a pivot have strictly lower degree,
     so equal row spans produce identical H.  The first rank rows of H are
-    nonzero and the rest are zero.  No unimodular factor is built.
-
-    The rows are primitive int coefficient lists (``_int_row``); a step of
-    the Euclidean descent pseudo-divides, row_i <- s*row_i - q*row_r, which
-    scales row_i by the unit s, and makes row_i primitive again.  Pivots
-    become monic only when the rows are converted back to UniPolys.
+    nonzero and the rest are zero.  No unimodular factor is built.  This is
+    the Q[x] case of the Hermite descent ``_descend``.
     """
+    rows = _int_rows(m)
+    r = _descend(rows, m.cols, laurent=False)
+    return _poly_mat(m.ring, rows[:r], m.rows, m.cols), r
+
+
+def x_saturate(m: Mat) -> Mat:
+    """Canonical form of the row span of m over Q[x, 1/x], one row per rank.
+
+    Clearing a torus ideal multiplies generators by x-power units, which can
+    change the Q[x] row span but not the Laurent span; this form depends
+    only on the Laurent span.  It is the Laurent case of ``_descend``, with
+    no call to ``hnf``: each row has a pivot that is monic with a nonzero
+    constant term in the row's own frame (the row divided by the pivot's
+    x-power), and an entry above a pivot of Laurent length L lies in the
+    window [0, L) of its row's frame.  Each row is returned shifted to
+    x-valuation 0, as a row over Q[x].
+    """
+    rows = [_strip(row) for row in _int_rows(m)]
+    r = _descend(rows, m.cols, laurent=True)
+    return _poly_mat(m.ring, rows[:r], r, m.cols)
+
+
+def _int_rows(m: Mat) -> list:
+    """The rows of a Q[x] matrix as int coefficient lists, each row over one
+    lcm of its denominators, made primitive."""
     if not isinstance(m.ring, PolyRing):
-        raise ValueError("hnf expects a matrix over a polynomial ring")
-    nrows = m.rows
-    rows = [_int_row(m.row(i)) for i in range(nrows)]
+        raise ValueError("a Hermite form needs a matrix over a polynomial ring")
+    rows = []
+    for row in map(m.row, range(m.rows)):
+        den = lcm(*[e.den for e in row])
+        rows.append(_primitive([[c * (den // e.den) for c in e.num] for e in row]))
+    return rows
+
+
+def _poly_mat(ring: PolyRing, rows: list, nrows: int, ncols: int) -> Mat:
+    """Int rows as UniPoly rows with monic pivots, padded with zero rows."""
+    out = []
+    for row in rows:
+        den = next(e for e in row if e)[-1]  # the pivot's, positive by _primitive
+        out += [_poly(ring.var, e, den) for e in row]
+    out += [ring.zero()] * (ncols * (nrows - len(rows)))
+    return Mat(ring, nrows, ncols, out)
+
+
+def _descend(rows: list, ncols: int, laurent: bool) -> int:
+    """Hermite descent in place on primitive int rows; returns the rank.
+
+    Over Q[x] (laurent false) every valuation below is taken as 0, which
+    leaves the Euclidean descent.  Over Q[x, 1/x] each row is kept divided
+    by its x-content, an entry's length is its degree minus its valuation,
+    and entries are divided with their x-powers stripped, the valuation
+    difference moved onto the quotient or onto the row being reduced.
+
+    Per column: the entry of least length becomes the pivot and every entry
+    below it is pseudo-divided by it, row_i <- s*row_i - q*row_r, until only
+    the pivot survives.  Then each entry above the pivot (stripped pivot p0,
+    length L) is reduced into the window [v_i, v_i + L), v_i the valuation
+    of its row's pivot: a bottom pseudo-division clears the exponents below
+    v_i with multiples x^j*p0, a top one those from v_i + L on.  The residues
+    mod p0 have exactly one representative in any window of L consecutive
+    exponents, because p0(0) != 0 makes x invertible mod p0.
+    """
+    val = _val if laurent else lambda e: 0
+    nrows = len(rows)
+    pcols: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(ncols):
         if r == nrows:
             break
-        # Euclidean descent on column c until a single entry survives at r
+        # descent on column c until a single entry survives at r
         while True:
             live = [i for i in range(r, nrows) if rows[i][c]]
             if not live:
                 break
-            piv = min(live, key=lambda i: len(rows[i][c]))
+            piv = min(live, key=lambda i: len(rows[i][c]) - val(rows[i][c]))
             rows[r], rows[piv] = rows[piv], rows[r]
+            b = rows[r][c]
+            vb = val(b)
+            b0 = b[vb:] if vb else b
             done = True
             for i in range(r + 1, nrows):
-                if rows[i][c]:
-                    q, rem, s = _pseudo_divmod(rows[i][c], rows[r][c])
-                    rows[i] = _reduce(rows[i], s, q, rows[r])
+                a = rows[i][c]
+                if a:
+                    va = val(a)
+                    q, rem, s = _pseudo_divmod(a[va:] if va else a, b0)
+                    rows[i] = _reduce(rows[i], s, q, rows[r], va - vb, laurent)
                     done = done and not any(rem)
             if done:
                 break
         if not rows[r][c]:
             continue
+        p = rows[r][c]
+        vp = val(p)
+        p0 = p[vp:]
         for i in range(r):
-            if len(rows[i][c]) >= len(rows[r][c]):
-                q, _, s = _pseudo_divmod(rows[i][c], rows[r][c])
-                rows[i] = _reduce(rows[i], s, q, rows[r])
+            vi = val(rows[i][pcols[i]])
+            e = rows[i][c]
+            ve = val(e) if e else vi
+            if ve < vi:
+                q, s = _low_pseudo_divmod(e[ve:], p0, vi - ve)
+                rows[i] = _reduce(rows[i], s, q, rows[r], ve - vp, laurent)
+                vi = val(rows[i][pcols[i]])
+                e = rows[i][c]
+            if len(e) - vi >= len(p0):
+                q, _, s = _pseudo_divmod(e[vi:] if vi else e, p0)
+                rows[i] = _reduce(rows[i], s, q, rows[r], vi - vp, laurent)
+        pcols.append(c)
         r += 1
-    var = m.ring.var
-    out = []
-    for row in rows[:r]:
-        den = next(e for e in row if e)[-1]  # the pivot's, positive by _primitive
-        out += [_poly(var, e, den) for e in row]
-    out += [m.ring.zero()] * (m.cols * (nrows - r))
-    return Mat(m.ring, nrows, m.cols, out), r
+    return r
 
 
-def _int_row(row) -> list[list[int]]:
-    """UniPolys as int coefficient lists over one lcm of their denominators,
-    made primitive."""
-    den = lcm(*[e.den for e in row])
-    return _primitive([[c * (den // e.den) for c in e.num] for e in row])
+def _low_pseudo_divmod(a: list, b: list, n: int) -> tuple[list, int]:
+    """(q, s) with s > 0, len(q) == n and s*a - q*b divisible by x^n, for b
+    with a nonzero constant term: the pseudo-division of the coefficient
+    sequences reversed, a cut to its first n."""
+    low = a[:n] + [0] * (n - len(a))
+    q, _, s = _pseudo_divmod([0] * (len(b) - 1) + low[::-1], b[::-1])
+    return q[::-1], s
+
+
+def _val(e: list) -> int:
+    """x-valuation of a nonzero int coefficient list."""
+    return next(i for i, c in enumerate(e) if c)
+
+
+def _strip(row: list) -> list:
+    """An int row divided by its x-content, the least valuation of its entries."""
+    v = min((_val(e) for e in row if e), default=0)
+    return [e[v:] for e in row] if v else row
 
 
 def _primitive(row: list) -> list:
@@ -92,20 +178,27 @@ def _primitive(row: list) -> list:
     return row if g == 1 else [[c // g for c in e] for e in row]
 
 
-def _reduce(row: list, s: int, q: list, prow: list) -> list:
-    """s*row - q*prow for int rows and an int polynomial q, made primitive."""
+def _reduce(row: list, s: int, q: list, prow: list, shift: int, laurent: bool) -> list:
+    """s*row - x^shift*q*prow for int rows and an int polynomial q, made
+    primitive; a negative shift multiplies row by x^-shift instead.  With
+    laurent the result is divided by its x-content."""
+    if shift < 0:
+        row = [[0] * -shift + a if a else a for a in row]
+        shift = 0
+    n = len(q) + shift
     out = []
     for a, b in zip(row, prow):
         e = [s * c for c in a]
         if b:
-            e += [0] * (len(q) + len(b) - 1 - len(e))
-            for i, y in enumerate(q):
+            e += [0] * (n + len(b) - 1 - len(e))
+            for i, y in enumerate(q, shift):
                 if y:
                     e[i:i + len(b)] = [u - y * z for u, z in zip(e[i:i + len(b)], b)]
         while e and not e[-1]:
             e.pop()
         out.append(e)
-    return _primitive(out)
+    out = _primitive(out)
+    return _strip(out) if laurent else out
 
 
 @dataclass(frozen=True)
@@ -296,59 +389,15 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     return CodimReport(tuple(zip(range(kmax + 1), values)), stabilized, ambient)
 
 
-def x_saturate(m: Mat) -> Mat:
-    """Saturate a Q[x] row module at x: Hermite form of (Laurent span) cap Q[x]^cols.
-
-    Clearing a torus ideal multiplies generators by x-power units, which can
-    shrink the Q[x] row span even though the Laurent span is unchanged; the
-    saturation is the canonical representative.
-
-    One pass over the Hermite form, bottom row first.  The rows already
-    saturated vanish in and left of the pivot column of the current row t,
-    and their constant-term vectors are Q-independent (kept as an echelon).
-    While the constant terms of t lie in their Q-span, subtract that
-    combination and divide t by x.  This stops exactly when no further
-    division is possible: if the saturation held a row u with x*u equal to t
-    in the pivot column, t - x*u would lie in the span of the saturated rows
-    below, and so would the constant terms of t.  Each division lowers the
-    x-valuation of the pivot, which bounds the loop.  The result is already
-    triangular, so the closing Hermite form only normalises pivots and
-    reduces above them.
-
-    The loop runs on the integer rows of ``hnf``: subtracting the combination
-    is t <- e*t - c*u for the saturated row u with constant pivot term e and
-    the constant term c of t in that column, made primitive again, and the
-    division by x drops the first coefficient of every entry.
-    """
-    h, rank = hnf(m)
-    # constant-term pivot column -> saturated int row, bottom row first
-    echelon: dict[int, list] = {}
-    for i in range(rank - 1, -1, -1):
-        row = _int_row(h.row(i))
-        while True:
-            for p in sorted(echelon):
-                c = row[p][0] if row[p] else 0
-                if c:
-                    e = echelon[p][p][0]
-                    row = _reduce(row, e, [c], echelon[p])
-            lead = next((j for j, a in enumerate(row) if a and a[0]), None)
-            if lead is not None:
-                break
-            row = [a[1:] for a in row]
-        echelon[lead] = row
-    if not echelon:
-        return Mat(m.ring, 0, m.cols, ())
-    var = m.ring.var
-    return hnf(Mat.from_rows(m.ring, [[_poly(var, a, 1) for a in row]
-                                      for row in list(echelon.values())[::-1]]))[0]
-
-
 def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
     """Equality of row spans, decided by identical Hermite forms.
 
-    Spans are compared over Q[x] for the line; over the torus the clearing is
-    only canonical up to x-power units, so both sides are compared through
-    x_saturate, whose Hermite form of the Q[x,1/x] span is canonical.
+    Spans are compared over Q[x] for the line (``hnf``).  Over the torus the
+    clearing is only canonical up to x-power units, so both sides are
+    compared over Q[x, 1/x] through x_saturate: its pivot normal form, each
+    pivot monic with a nonzero constant term in its row's frame and the
+    entries above it in their residue windows, depends only on the Laurent
+    span.
     """
     if a.k != b.k:
         raise ValueError("modules at different filtration levels")
