@@ -66,6 +66,15 @@ def _parse_poly(lst, var="x") -> UniPoly:
     return UniPoly(var, [_parse_frac(c) for c in lst])
 
 
+def _parse_terms(items) -> BiPoly:
+    """[[r, s, "c"], ...] as the sum of c x^r y^s; repeated (r, s) add up."""
+    terms = {}
+    for r, s, cc in items:
+        k = (int(r), int(s))
+        terms[k] = terms.get(k, Fraction(0)) + _parse_frac(cc)
+    return BiPoly(terms)
+
+
 def _curve_json(c: curvemod.CurveModel) -> dict:
     out = {"kind": c.kind}
     if c.F is not None:
@@ -86,12 +95,7 @@ def _parse_curve(d) -> curvemod.CurveModel:
     if kind == curvemod.PLANE_CURVE:
         try:
             if d.get("F") is not None:
-                terms = {}
-                for item in d["F"]:
-                    r, s, cc = item
-                    terms[(int(r), int(s))] = terms.get((int(r), int(s)),
-                                                        Fraction(0)) + _parse_frac(cc)
-                return curvemod.plane_curve(BiPoly(terms))
+                return curvemod.plane_curve(_parse_terms(d["F"]))
             if d.get("P") is not None:
                 return curvemod.hyperelliptic(_parse_poly(d["P"]))
         except SchemaError:
@@ -184,7 +188,7 @@ def _parse_ideal(d) -> FractionalIdeal:
         raise SchemaError("ideal must be a JSON object")
     c = _parse_curve(d.get("curve"))
     try:
-        ring = coeff_ring_for(c, localized=True)
+        ring = coeff_ring_for(c)
     except ValueError as e:
         raise SchemaError(str(e))
     gens_raw = d.get("generators")
@@ -308,11 +312,7 @@ def _handle_act(payload, options):
             raise SchemaError("--unit-power must be rational, got %r" % (unit_power,))
         return _point_json(lambda_act(p, r))
     try:
-        terms = {}
-        for r, s, cc in json.loads(omega):
-            terms[(int(r), int(s))] = terms.get((int(r), int(s)),
-                                                Fraction(0)) + _parse_frac(cc)
-        g = BiPoly(terms)
+        g = _parse_terms(json.loads(omega))
     except SchemaError:
         raise
     except Exception as e:

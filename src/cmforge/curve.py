@@ -31,13 +31,9 @@ class CurveModel:
         elif F is not None or hyperelliptic_P is not None:
             raise ValueError("%s carries no defining polynomial" % kind)
         if hyperelliptic_P is not None:
-            expected = BiPoly.monomial(0, 2) - BiPoly(
-                {(r, 0): c for r, c in enumerate(hyperelliptic_P.coeffs)}
-            )
-            if F != expected:
+            if F != _y2_minus(hyperelliptic_P):
                 raise ValueError("defining polynomial is not y^2 - P(x) for the given P")
-            g = hyperelliptic_P.gcd(hyperelliptic_P.derivative())
-            if g.is_zero or g.degree() > 0:
+            if not _squarefree(hyperelliptic_P):
                 raise ValueError("P must have simple roots (gcd(P, P') constant)")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "F", F)
@@ -79,6 +75,17 @@ def torus() -> CurveModel:
     return CurveModel(TORUS)
 
 
+def _y2_minus(P: UniPoly) -> BiPoly:
+    """The defining polynomial y^2 - P(x)."""
+    return BiPoly.monomial(0, 2) - BiPoly({(r, 0): c for r, c in enumerate(P.coeffs)})
+
+
+def _squarefree(P: UniPoly) -> bool:
+    """P has simple roots: gcd(P, P') is a nonzero constant."""
+    g = P.gcd(P.derivative())
+    return not g.is_zero and g.degree() <= 0
+
+
 def _detect_hyperelliptic(F: BiPoly) -> UniPoly | None:
     """Recognize F = y^2 - P(x) term-for-term, P with simple roots."""
     if F.terms.get((0, 2)) != 1:
@@ -92,10 +99,7 @@ def _detect_hyperelliptic(F: BiPoly) -> UniPoly | None:
         rest[r] = -c
     deg = max(rest, default=-1)
     P = UniPoly("x", [rest.get(i, 0) for i in range(deg + 1)])
-    g = P.gcd(P.derivative())
-    if g.is_zero or g.degree() > 0:
-        return None
-    return P
+    return P if _squarefree(P) else None
 
 
 def plane_curve(F: BiPoly) -> CurveModel:
@@ -103,8 +107,7 @@ def plane_curve(F: BiPoly) -> CurveModel:
 
 
 def hyperelliptic(P: UniPoly) -> CurveModel:
-    F = BiPoly.monomial(0, 2) - BiPoly({(r, 0): c for r, c in enumerate(P.coeffs)})
-    return CurveModel(PLANE_CURVE, F, P)
+    return CurveModel(PLANE_CURVE, _y2_minus(P), P)
 
 
 class DerivationData:

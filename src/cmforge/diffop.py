@@ -1,13 +1,16 @@
 """Differential operator arithmetic.
 
 Normal-form operators sum(c_i * d^i) with coefficients in the coordinate ring
-of a supported curve model (affine line, torus, hyperelliptic), optionally
-localized at a univariate denominator.  The normal form keeps coefficients on
-the left and derivative powers on the right.
+of a supported curve model (affine line, torus, hyperelliptic) with every
+nonzero polynomial in x inverted: the ideals are fractional, so there is no
+polynomial-only variant.  The normal form keeps coefficients on the left and
+derivative powers on the right.
 
 Every coefficient is stored as (a + b y) / den with den monic and coprime to
-the numerator; a torus coefficient is one of the line localized at x, so its
-negative x-powers sit in den, as they do in the JSON wire format.
+the numerator; a torus coefficient is a line coefficient, so its negative
+x-powers sit in den, as they do in the JSON wire format.  Away from the
+hyperelliptic ring a Coeff is a rational function of one variable, and it
+may be held in any variable name (forge keeps its x-, y- and z-resolvents so).
 """
 
 from __future__ import annotations
@@ -27,43 +30,33 @@ class CoeffRing:
     """Descriptor of the operator coefficient ring.
 
     poly:    Q[x]                      (affine line)
-    laurent: Q[x, 1/x]                 (torus: Q[x] localized at x)
+    laurent: Q[x, 1/x]                 (torus)
     hyper:   Q[x, y] / (y^2 - P(x))    (hyperelliptic, elements a(x) + b(x) y)
 
-    localized variants allow any monic denominator in x; the unlocalized
-    torus ring allows powers of x in the denominator, and Coeff rejects any
-    other denominator in an unlocalized ring.
+    each with any monic denominator in x allowed, so every ring is a field
+    (see CoeffMatRing); on the line and the torus it is Q(x).
     """
 
-    __slots__ = ("kind", "P", "localized")
+    __slots__ = ("kind", "P")
 
-    def __init__(self, kind: str, P: UniPoly | None = None, localized: bool = False):
+    def __init__(self, kind: str, P: UniPoly | None = None):
         if kind not in (POLY, LAURENT, HYPER):
             raise ValueError("unknown coefficient ring kind: %r" % (kind,))
         if (kind == HYPER) != (P is not None):
             raise ValueError("P is required exactly for the hyperelliptic ring")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "localized", bool(localized))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoeffRing is immutable")
 
-    def compatible(self, other: "CoeffRing") -> bool:
-        return self.kind == other.kind and self.P == other.P
-
-    def as_localized(self) -> "CoeffRing":
-        if self.localized:
-            return self
-        return CoeffRing(self.kind, self.P, True)
-
     def __eq__(self, other):
         if not isinstance(other, CoeffRing):
             return NotImplemented
-        return (self.kind, self.P, self.localized) == (other.kind, other.P, other.localized)
+        return self.kind == other.kind and self.P == other.P
 
     def __hash__(self):
-        return hash((self.kind, self.P, self.localized))
+        return hash((self.kind, self.P))
 
     # element constructors -------------------------------------------------
 
@@ -96,17 +89,17 @@ class CoeffRing:
 
     def __repr__(self):
         tag = {POLY: "Q[x]", LAURENT: "Q[x,1/x]", HYPER: "Q[x,y]/(y^2-P)"}[self.kind]
-        return "CoeffRing(%s%s)" % (tag, ", localized" if self.localized else "")
+        return "CoeffRing(%s)" % tag
 
 
-def coeff_ring_for(c: "curvemod.CurveModel", localized: bool = False) -> CoeffRing:
+def coeff_ring_for(c: "curvemod.CurveModel") -> CoeffRing:
     """Operator coefficient ring attached to a curve model."""
     if c.kind == curvemod.AFFINE_LINE:
-        return CoeffRing(POLY, localized=localized)
+        return CoeffRing(POLY)
     if c.kind == curvemod.TORUS:
-        return CoeffRing(LAURENT, localized=localized)
+        return CoeffRing(LAURENT)
     if c.is_hyperelliptic:
-        return CoeffRing(HYPER, c.hyperelliptic_P, localized=localized)
+        return CoeffRing(HYPER, c.hyperelliptic_P)
     raise ValueError("full operator arithmetic supports the line, the torus, "
                      "and hyperelliptic curves only")
 
@@ -138,10 +131,6 @@ class Coeff:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         a, b, den = _normalize(a, b, den)
-        if not ring.localized and den.degree() > (
-                den.x_valuation() if ring.kind == LAURENT else 0):
-            raise ValueError("denominator %r outside the unlocalized ring %r"
-                             % (den, ring))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -156,7 +145,7 @@ class Coeff:
 
     def _pair(self, other) -> "Coeff":
         if isinstance(other, Coeff):
-            if not self.ring.compatible(other.ring):
+            if self.ring != other.ring:
                 raise ValueError("coefficient ring mismatch")
             return other
         if isinstance(other, UniPoly):
@@ -197,9 +186,7 @@ class Coeff:
     __rmul__ = __mul__
 
     def inv(self) -> "Coeff":
-        """Multiplicative inverse; in an unlocalized ring the constructor
-        rejects it unless it stays denominator-free, or its denominator is a
-        power of x, a unit on the torus."""
+        """Multiplicative inverse."""
         if self.is_zero:
             raise ZeroDivisionError("inverting zero coefficient")
         if self.b is not None:
@@ -215,7 +202,7 @@ class Coeff:
                 other = self._pair(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        if not self.ring.compatible(other.ring):
+        if self.ring != other.ring:
             return False
         return self.a == other.a and self.b == other.b and self.den == other.den
 
@@ -279,13 +266,14 @@ def _normalize(a, b, den):
 class CoeffMatRing(RingBase):
     """Ring protocol adapter so Mat can hold Coeff entries.
 
-    Localized rings are fields (on the hyperelliptic curve because P is
-    squarefree and nonconstant, so the norm a^2 - b^2 P only vanishes at 0).
+    Every coefficient ring is a field (on the hyperelliptic curve because P
+    is squarefree and nonconstant, so the norm a^2 - b^2 P only vanishes at 0).
     """
+
+    is_field = True
 
     def __init__(self, cring: CoeffRing):
         self.cring = cring
-        self.is_field = cring.localized
 
     def zero(self):
         return self.cring.zero()
@@ -379,7 +367,7 @@ class DiffOp:
 
     def mul(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product: d^i * c = sum_k C(i,k) c^(k) d^(i-k)."""
-        if not self.ring.compatible(other.ring):
+        if self.ring != other.ring:
             raise ValueError("coefficient ring mismatch")
         out = {}
         for i, ci in enumerate(self.coeffs):
@@ -417,7 +405,7 @@ class DiffOp:
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.ring.compatible(other.ring) and self.coeffs == other.coeffs
+        return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -450,7 +438,7 @@ def clearing_denominator(ops) -> UniPoly:
 
 
 class FractionalIdeal:
-    """Finite generator list of operators over the localized coefficient ring."""
+    """Finite generator list of operators over the curve's coefficient ring."""
 
     __slots__ = ("curve", "generators")
 

@@ -1,8 +1,9 @@
 """Exact arithmetic kernel.
 
-Arbitrary-precision rationals, univariate and bivariate polynomials,
-rational functions, and matrices over a pluggable commutative ring with
-fraction-free determinants.  Everything here is immutable and pure.
+Arbitrary-precision rationals, univariate and bivariate polynomials, and
+matrices over a pluggable commutative ring with fraction-free determinants.
+Rational functions are not a type of their own here: a quotient p/q of
+polynomials is a ``diffop.Coeff``.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -352,10 +353,6 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls({})
-
-    @classmethod
     def const(cls, c) -> "BiPoly":
         return cls({(0, 0): rat(c)})
 
@@ -502,101 +499,6 @@ def bipoly_apply(f: BiPoly, a: "Mat", b: "Mat | None" = None) -> "Mat":
     return out
 
 
-class RatFunc:
-    """Rational function num/den in one variable; den monic, gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero and g.degree() > 0:
-            num = num.divmod_(g)[0]
-            den = den.divmod_(g)[0]
-        c = den.lc()
-        if c != 1:
-            num = num * (1 / c)
-            den = den * (1 / c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def from_poly(cls, p: UniPoly) -> "RatFunc":
-        return cls(p, UniPoly.const(p.var, 1))
-
-    @classmethod
-    def const(cls, var: str, c) -> "RatFunc":
-        return cls(UniPoly.const(var, c), UniPoly.const(var, 1))
-
-    @property
-    def var(self) -> str:
-        return self.num.var if self.num.degree() > 0 else self.den.var
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _pair(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, UniPoly):
-            return RatFunc.from_poly(other)
-        return RatFunc.const(self.var, rat(other))
-
-    def __add__(self, other):
-        o = self._pair(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._pair(other))
-
-    def __rsub__(self, other):
-        return self._pair(other) - self
-
-    def __mul__(self, other):
-        o = self._pair(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * self._pair(other).inv()
-
-    def __eq__(self, other):
-        o = self._pair(other) if not isinstance(other, RatFunc) else other
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
-    def as_poly(self) -> UniPoly:
-        if not self.is_polynomial():
-            raise ValueError("denominator is not constant: %r" % (self.den,))
-        return self.num
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return repr(self.num)
-        return "(%s)/(%s)" % (self.num, self.den)
-
-
 class RingBase:
     """Protocol object describing element arithmetic for Mat."""
 
@@ -685,43 +587,6 @@ class PolyRing(RingBase):
         return hash(("poly", self.var))
 
 
-class RatFuncRing(RingBase):
-    is_field = True
-
-    def __init__(self, var: str):
-        self.var = var
-
-    def zero(self):
-        return RatFunc.const(self.var, 0)
-
-    def one(self):
-        return RatFunc.const(self.var, 1)
-
-    def gen(self):
-        return RatFunc.from_poly(UniPoly.x(self.var))
-
-    def from_int(self, n: int):
-        return RatFunc.const(self.var, n)
-
-    def from_frac(self, c):
-        return RatFunc.const(self.var, rat(c))
-
-    def from_poly(self, p: UniPoly):
-        return RatFunc.from_poly(p)
-
-    def exact_div(self, a, b):
-        return a / b
-
-    def inv(self, a):
-        return a.inv()
-
-    def __eq__(self, other):
-        return isinstance(other, RatFuncRing) and other.var == self.var
-
-    def __hash__(self):
-        return hash(("ratfunc", self.var))
-
-
 QQ = RationalRing()
 
 
@@ -803,15 +668,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(self.ring, self.cols, self.rows,
                    [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        rg = self.ring
-        acc = rg.zero()
-        for i in range(self.rows):
-            acc = rg.add(acc, self.entry(i, i))
-        return acc
 
     def map_entries(self, f, ring=None) -> "Mat":
         return Mat(ring if ring is not None else self.ring, self.rows, self.cols,

@@ -9,7 +9,10 @@ delta_V, the correction element kappa, and the generator emission
 kappa and delta_V are ordered products: each matrix factor is univariate in
 one operator symbol (x, y, or the derivation symbol z), the written
 left-to-right order is the operator order, and normal_order resolves the
-noncommutativity across factors once.
+noncommutativity across factors once.  A factor's entries are rational
+functions of its symbol, held as Coeffs of the line's ring in the symbol's
+own variable; a resolvent (A - t Id)^{-1} is adj(A - t Id) / det(A - t Id),
+its adjugate columns from _adjugate_times.
 
 ideal_generators does not go through them on the line, the torus and
 hyperelliptic curves.  There the z-generator is written in closed form:
@@ -26,15 +29,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import (Mat, QQ, UniPoly, RatFunc, RatFuncRing, char_poly,
-                    bipoly_apply)
+from .exact import Mat, QQ, UniPoly, char_poly, bipoly_apply
 from .errors import PreconditionError
 from . import curve as curvemod
 from .cmspace import CMPoint, verify_relations
-from .diffop import (HYPER, Coeff, CoeffRing, CoeffMatRing, DiffOp,
+from .diffop import (HYPER, POLY, Coeff, CoeffRing, CoeffMatRing, DiffOp,
                      FractionalIdeal, coeff_ring_for)
 
 _SYMBOLS = (None, "x", "y", "z")
+# entries of the x-, y- and z-factors: rational functions of one variable
+_RF = CoeffRing(POLY)
+_RFMAT = CoeffMatRing(_RF)
 
 
 class OrderedProduct:
@@ -42,8 +47,8 @@ class OrderedProduct:
 
     Each factor is a pair (symbol, m): symbol None for a scalar-entried
     matrix over Q, otherwise "x", "y" or "z" with m over the rational
-    function field in that symbol.  Adjacent factors carry distinct symbols
-    unless one is scalar.
+    function field in that symbol (_RFMAT, entries in that variable).
+    Adjacent factors carry distinct symbols unless one is scalar.
     """
 
     __slots__ = ("factors",)
@@ -134,16 +139,16 @@ def _lift(m: Mat, ring) -> Mat:
     return Mat(ring, m.rows, m.cols, [ring.from_frac(e) for e in m.entries])
 
 
-def _resolvent(mt: Mat, sym: str) -> Mat:
-    """(mt - sym*Id)^{-1} over the rational function field in sym."""
-    ring = RatFuncRing(sym)
-    n = mt.rows
-    shifted = _lift(mt, ring).sub(Mat.identity(ring, n).scalar_mul(ring.gen()))
-    try:
-        return shifted.inv()
-    except ZeroDivisionError:
-        raise PreconditionError(
-            "singular substitution in the %s-resolvent factor" % sym)
+def _resolvent(A: Mat, t: str) -> Mat:
+    """(A - t Id)^{-1} = adj(A - t Id) / det(A - t Id) for A over Q.
+
+    Column j of the adjugate is adj(A - t Id) e_j from _adjugate_times; the
+    determinant is the characteristic polynomial, never zero over Q(t)."""
+    n = A.rows
+    f = char_poly(A, t)
+    cols = [_adjugate_times(A, f, [int(i == j) for i in range(n)]) for j in range(n)]
+    return Mat(_RFMAT, n, n, [Coeff(_RF, UniPoly(t, [c[i] for c in cols[j]]), None, f)
+                              for i in range(n) for j in range(n)])
 
 
 def _framing_sum(p: CMPoint) -> Mat:
@@ -163,7 +168,7 @@ def _numerator_factor(p: CMPoint, ker) -> Mat | None:
     """Numerator legs of the nu kernel, substituted: a Mat over Q(y) (or Q)."""
     n = p.n
     uses_y = any(j or l for _, (_, j), (_, l) in ker.terms) or "y" in ker.denom_factors
-    ring = RatFuncRing("y") if uses_y else QQ
+    ring = _RFMAT if uses_y else QQ
     Xt = p.Xmat.transpose()
     Yt = p.Ymat.transpose() if p.Ymat is not None else None
     acc = Mat.zeros(ring, n, n)
@@ -179,7 +184,7 @@ def _numerator_factor(p: CMPoint, ker) -> Mat | None:
         term = _lift(term, ring) if uses_y else term
         scale = ring.from_frac(coeff)
         if j:
-            y = ring.gen()
+            y = _RF.from_poly(UniPoly.x("y"))
             for _ in range(j):
                 scale = scale * y
         acc = acc.add(term.scalar_mul(scale))
@@ -201,8 +206,7 @@ def delta_V(p: CMPoint) -> OrderedProduct:
         res_y = _resolvent(p.Ymat.transpose(), "y")
         factors.append(("y", res_y.mul(num) if num is not None else res_y))
     elif num is not None:
-        sym = "y" if num.ring == RatFuncRing("y") else None
-        factors.append((sym, num))
+        factors.append((None if num.ring == QQ else "y", num))
     factors.append((None, _framing_sum(p)))
     return OrderedProduct(factors)
 
@@ -214,13 +218,11 @@ def _correction_factors(p: CMPoint, i: int, z_factor: Mat) -> list:
     factors = [("z", z_factor), ("x", _resolvent(p.Xmat.transpose(), "x"))]
     if c.has_y:
         Yt = p.Ymat.transpose()
-        yring = RatFuncRing("y")
+        ydiag = Mat.identity(_RFMAT, p.n).scalar_mul(_RF.from_poly(UniPoly.x("y")))
         if c.is_hyperelliptic:
-            yfac = _lift(Yt, yring).add(
-                Mat.identity(yring, p.n).scalar_mul(yring.gen()))
+            yfac = _lift(Yt, _RFMAT).add(ydiag)
         else:
-            liftX = _lift(p.Xmat.transpose(), yring)
-            ydiag = Mat.identity(yring, p.n).scalar_mul(yring.gen())
+            liftX = _lift(p.Xmat.transpose(), _RFMAT)
             yfac = _resolvent(Yt, "y").mul(bipoly_apply(c.F, liftX, ydiag))
         factors.append(("y", yfac))
     factors.append((None, p.ws[i].transpose()))
@@ -239,10 +241,8 @@ def kappa(p: CMPoint, i: int = 0) -> KappaElement:
         raise ValueError("framing index out of range")
     if p.n == 0:
         return KappaElement(p.curve, i, 1, ())
-    zres = _resolvent(p.Zmat.transpose(), "z")
-    zring = RatFuncRing("z")
-    zfac = _lift(_vbar_t(p), zring).mul(zres)
-    zfac = zfac.scalar_mul(zring.from_int(_kappa_sign(p.curve)))
+    zfac = _lift(_vbar_t(p), _RFMAT).mul(_resolvent(p.Zmat.transpose(), "z"))
+    zfac = zfac.scalar_mul(_RF.from_int(_kappa_sign(p.curve)))
     return KappaElement(p.curve, i, 1,
                         (OrderedProduct(_correction_factors(p, i, zfac)),))
 
@@ -252,23 +252,24 @@ def kappa(p: CMPoint, i: int = 0) -> KappaElement:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_from_ratfunc(rf: RatFunc, ring: CoeffRing, sym: str) -> Coeff:
+def _coeff_in(rf: Coeff, ring: CoeffRing, sym: str) -> Coeff:
+    """A rational function of the factor symbol x or y, as an element of ring."""
     if sym == "x":
-        return Coeff(ring, rf.num, None, rf.den)
+        return Coeff(ring, rf.a, None, rf.den)
     if sym == "y":
         if ring.kind != HYPER:
             raise ValueError("y-dependent factor needs the hyperelliptic ring")
         if rf.den.degree() > 0:
             raise ValueError("rational y-dependence cannot be normal-ordered")
-        if rf.num.degree() > 1:
+        if rf.a.degree() > 1:
             raise ValueError("y-degree exceeds 1; reduce by the curve equation first")
-        a = UniPoly.const("x", rf.num.coeff(0))
-        b = UniPoly.const("x", rf.num.coeff(1))
+        a = UniPoly.const("x", rf.a.coeff(0))
+        b = UniPoly.const("x", rf.a.coeff(1))
         return Coeff(ring, a, b)
     raise ValueError("unsupported factor symbol %r" % (sym,))
 
 
-def normal_order(expr: OrderedProduct, target: CoeffRing) -> DiffOp:
+def normal_order(expr: OrderedProduct, ring: CoeffRing) -> DiffOp:
     """Collapse an ordered product into a normal-form operator.
 
     The z-dependence must be polynomial (it is, once the det(Z - z Id) prefix
@@ -276,37 +277,35 @@ def normal_order(expr: OrderedProduct, target: CoeffRing) -> DiffOp:
     product must collapse to 1 x 1.  z-powers are moved rightmost by the
     Leibniz rule through DiffOp multiplication.
     """
-    ring = target.as_localized()
     mring = CoeffMatRing(ring)
-    zring = RatFuncRing("z")
     zpart = None
     rest = None
     for sym, m in expr.factors:
         if sym == "z" or (sym is None and rest is None):
             if rest is not None:
                 raise ValueError("z-factor appears right of a coefficient factor")
-            lifted = _lift(m, zring) if sym is None else m
+            lifted = _lift(m, _RFMAT) if sym is None else m
             zpart = lifted if zpart is None else zpart.mul(lifted)
             continue
         if sym is None:
             conv = _lift(m, mring)
         else:
-            conv = m.map_entries(lambda rf: _coeff_from_ratfunc(rf, ring, sym), mring)
+            conv = m.map_entries(lambda rf: _coeff_in(rf, ring, sym), mring)
         rest = conv if rest is None else rest.mul(conv)
 
     if zpart is None:
-        zpart = Mat.identity(zring, rest.rows if rest is not None else 1)
+        zpart = Mat.identity(_RFMAT, rest.rows if rest is not None else 1)
     degree = 0
     for e in zpart.entries:
         if e.den.degree() > 0:
             raise ValueError("residual z-denominator: %r" % (e.den,))
-        degree = max(degree, e.num.degree())
+        degree = max(degree, e.a.degree())
     out = DiffOp.zero(ring)
     partial = DiffOp.partial(ring)
     power = DiffOp(ring, [ring.one()])
     for k in range(degree + 1):
         Ak = Mat(mring, zpart.rows, zpart.cols,
-                 [ring.from_frac(e.num.coeff(k)) for e in zpart.entries])
+                 [ring.from_frac(e.a.coeff(k)) for e in zpart.entries])
         ck = Ak.mul(rest) if rest is not None else Ak
         if ck.rows != 1 or ck.cols != 1:
             raise ValueError("ordered product does not collapse to a scalar operator")
@@ -432,7 +431,7 @@ def _z_generator(p: CMPoint, ring: CoeffRing, gx: UniPoly, det_z: UniPoly) -> Di
 def ideal_generators(p: CMPoint):
     """Emit the fractional-ideal generators for a verified point.
 
-    Returns a FractionalIdeal over the localized coefficient ring for the
+    Returns a FractionalIdeal over the curve's coefficient ring for the
     line, torus and hyperelliptic models; a SymbolicGenerators container for
     a general plane model.  Requires the trivial-ideal tier (one framing
     pair); the general tier stays at the kappa level.
@@ -443,7 +442,7 @@ def ideal_generators(p: CMPoint):
                                 report)
     c = p.curve
     general_plane = c.has_y and not c.is_hyperelliptic
-    ring = None if general_plane else coeff_ring_for(c, localized=True)
+    ring = None if general_plane else coeff_ring_for(c)
 
     if p.n == 0:
         one_x = UniPoly.const("x", 1)
@@ -459,9 +458,8 @@ def ideal_generators(p: CMPoint):
     det_z = char_poly(p.Zmat, "z")
 
     if general_plane:
-        zring = RatFuncRing("z")
-        zrow = Mat(zring, 1, p.n, [RatFunc.from_poly(UniPoly("z", col))
-                                   for col in zip(*_z_rows(p, det_z))])
+        zrow = Mat(_RFMAT, 1, p.n, [Coeff(_RF, UniPoly("z", col))
+                                    for col in zip(*_z_rows(p, det_z))])
         correction = OrderedProduct(_correction_factors(p, 0, zrow))
         gy = char_poly(p.Ymat, "y")
         return SymbolicGenerators(c, gx, gy, det_z, correction)

@@ -11,7 +11,7 @@ whose constant term is an exact rational square.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 from .exact import BiPoly, UniPoly
 
@@ -143,16 +143,6 @@ def _sqrt_series(u: BiPoly, dz: int, de: int) -> BiPoly:
     return _trunc(out * BiPoly.const(root), dz, de)
 
 
-def _shift_poly(w: UniPoly) -> BiPoly:
-    """w(z + e) as a BiPoly in (z, e)."""
-    d = {}
-    for i, c in enumerate(w.coeffs):
-        for j in range(i + 1):
-            k = (i - j, j)
-            d[k] = d.get(k, Fraction(0)) + c * comb(i, j)
-    return BiPoly(d)
-
-
 def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
     """Check that the diagonal pole kernel transforms as a half-form pairing.
 
@@ -169,10 +159,12 @@ def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
         raise ValueError("parameter change has vanishing derivative at the origin")
     dz, de = order, 2
     a = BiPoly({(i, 0): c for i, c in enumerate(wp.coeffs)})
-    b = _trunc(_shift_poly(wp), dz, de)
+    # w'(z + e): w' in the second slot, shifted by the first
+    b = _trunc(BiPoly({(0, i): c for i, c in enumerate(wp.coeffs)}).subs_second_shift(), dz, de)
     s = _sqrt_series(_trunc(a * b, dz, de), dz, de)
     # (z1 - z2)/(w(z1) - w(z2)) = 1/q with q = (w(z + e) - w(z))/e
-    diff = _shift_poly(w) - BiPoly({(i, 0): c for i, c in enumerate(w.coeffs)})
+    diff = (BiPoly({(0, i): c for i, c in enumerate(w.coeffs)}).subs_second_shift()
+            - BiPoly({(i, 0): c for i, c in enumerate(w.coeffs)}))
     q = _trunc(BiPoly({(r, t - 1): c for (r, t), c in diff.terms.items()}), dz, de)
     ratio = _trunc(s * _inv_series(q, dz, de), dz, de)
     rows = ratio.coeffs_in_y("z")

@@ -254,8 +254,6 @@ def test_hom_columns_match_unit_construction(monkeypatch):
     for u, v in pairs:
         cols = _ranked_columns(monkeypatch, hom_dim, u, v)
         assert cols == _hom_reference(u, v), (u, v)
-        cols = _ranked_columns(monkeypatch, cmspace._hom_dim_vertex, u, v)
-        assert cols == _hom_reference(u, v, framed=False), (u, v)
 
 
 def test_lambda_action():

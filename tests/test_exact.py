@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmforge.exact import (BiPoly, Mat, PolyRing, QQ, RatFunc, RatFuncRing,
-                           UniPoly, char_poly, rat, rational_rank, resultant)
+from cmforge.diffop import CoeffMatRing, CoeffRing, POLY
+from cmforge.exact import (BiPoly, Mat, PolyRing, QQ, UniPoly, char_poly, rat,
+                           rational_rank, resultant)
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -116,10 +117,11 @@ def test_bipoly_second_shift():
 
 
 def test_ratfunc_normalizes_monic():
+    # a rational function of one variable is a Coeff of the line's ring
     x = UniPoly.x("x")
-    r = RatFunc(x * 2, x * x * 2 - 2)
+    r = CoeffRing(POLY).coeff(x * 2, den=x * x * 2 - 2)
     assert r.den.lc() == 1
-    assert r.num * (x * x - 1) == r.den * x  # equals x/(x^2-1)
+    assert r.a * (x * x - 1) == r.den * x  # equals x/(x^2-1)
 
 
 def test_mat_mul_and_det():
@@ -174,8 +176,9 @@ def test_resultant_common_root():
 
 
 def test_ratfuncring_is_field():
-    ring = RatFuncRing("x")
-    x = ring.gen()
+    ring = CoeffMatRing(CoeffRing(POLY))
+    x = ring.cring.x()
+    assert ring.is_field
     assert ring.mul(x, ring.inv(x)) == ring.one()
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,14 +13,18 @@ from cmforge.cli import _ideal_json
 from cmforge.cmspace import (CMPoint, commutant_dim, generic_point, lambda_act,
                              tangent_dim, verify_relations)
 from cmforge.curve import affine_line, plane_curve, torus
-from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY, coeff_ring_for
+from cmforge.diffop import (CoeffMatRing, CoeffRing, DiffOp, FractionalIdeal, POLY,
+                            coeff_ring_for)
 from cmforge.errors import PreconditionError
-from cmforge.exact import (BiPoly, Mat, PolyRing, QQ, RatFunc, RatFuncRing, UniPoly,
-                           char_poly)
+from cmforge.exact import BiPoly, Mat, PolyRing, QQ, UniPoly, char_poly
 from cmforge.forge import (OrderedProduct, SymbolicGenerators, _correction_factors,
-                           _lift, _vbar_t, _ypoly_to_coeff, delta_V,
+                           _lift, _resolvent, _vbar_t, _ypoly_to_coeff, delta_V,
                            ideal_generators, kappa, normal_order)
 from cmforge.lattice import codim
+
+# rational functions of one variable: Coeffs of the line's ring, in Mats over RFMAT
+RF = CoeffRing(POLY)
+RFMAT = CoeffMatRing(RF)
 
 
 def _parabola_point():
@@ -28,8 +33,7 @@ def _parabola_point():
 
 
 def test_ordered_product_rejects_adjacent_same_symbol():
-    ring = RatFuncRing("x")
-    m = Mat.identity(ring, 1)
+    m = Mat.identity(RFMAT, 1)
     with pytest.raises(ValueError):
         OrderedProduct([("x", m), ("x", m)])
     OrderedProduct([("x", m), (None, Mat.identity(QQ, 1)), ("x", m)])
@@ -46,7 +50,7 @@ def test_delta_v_line_n1():
     dv = delta_V(p)
     assert dv.symbols() == ("x", None)
     res = dv.factors[0][1].entry(0, 0)
-    assert res.num == UniPoly.const("x", -1)
+    assert res.a == UniPoly.const("x", -1)
     assert res.den == UniPoly.x("x")  # (X^t - x)^{-1} at X = 0 is -1/x
     assert dv.factors[1][1].entry(0, 0) == Fraction(-1)
 
@@ -59,10 +63,58 @@ def test_kappa_line_n1():
     prod = kp.products[0]
     assert prod.symbols() == ("z", "x", None)
     zf = prod.factors[0][1].entry(0, 0)
-    assert zf.num == UniPoly.const("z", 1) and zf.den == UniPoly.x("z")
+    assert zf.a == UniPoly.const("z", 1) and zf.den == UniPoly.x("z")
     xf = prod.factors[1][1].entry(0, 0)
-    assert xf.num == UniPoly.const("x", -1) and xf.den == UniPoly.x("x")
+    assert xf.a == UniPoly.const("x", -1) and xf.den == UniPoly.x("x")
     assert prod.factors[2][1].entry(0, 0) == Fraction(-1)
+
+
+def test_resolvent_matches_gauss_jordan_inverse():
+    # adj(A - t Id) / det(A - t Id) against the generic Gauss-Jordan inverse
+    # over Q(t), for the transposed X, Y, Z of the battery and random matrices
+    rng = random.Random(4)
+    mats = [m.transpose() for p in full_battery()
+            for m in (p.Xmat, p.Ymat, p.Zmat) if m is not None]
+    mats += [Mat(QQ, n, n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(n * n)])
+             for n in range(1, 6) for _ in range(2)]
+    for A in mats:
+        for t in "xyz":
+            shifted = _lift(A, RFMAT).sub(
+                Mat.identity(RFMAT, A.rows).scalar_mul(RF.from_poly(UniPoly.x(t))))
+            assert _resolvent(A, t) == shifted.inv(), (A, t)
+
+
+def _factor_fields(op):
+    """An ordered product as [symbol, rows, cols, entries] per factor; a
+    rational function entry as its numerator and denominator coefficient
+    strings, in the factor's own variable."""
+    out = []
+    for sym, m in op.factors:
+        entries = []
+        for e in m.entries:
+            if isinstance(e, Fraction):
+                entries.append(str(e))
+                continue
+            assert all(q.degree() < 1 or q.var == sym for q in (e.a, e.den))
+            entries.append([[str(c) for c in e.a.coeffs], [str(c) for c in e.den.coeffs]])
+        out.append([sym, m.rows, m.cols, entries])
+    return out
+
+
+def test_general_route_pinned_values():
+    # delta_V, kappa and the general-plane correction, pinned entry by entry
+    pins = json.loads((Path(__file__).parent / "general_route_pins.json").read_text())
+    pts = [("battery[%d]" % i, p) for i, p in enumerate(full_battery())]
+    pts.append(("parabola", _parabola_point()))
+    assert sorted(pins) == sorted(name for name, _ in pts)
+    for name, p in pts:
+        kp = kappa(p)
+        assert kp.leading == 1 and len(kp.products) == 1
+        assert _factor_fields(delta_V(p)) == pins[name]["delta_V"], name
+        assert _factor_fields(kp.products[0]) == pins[name]["kappa"], name
+    correction = ideal_generators(_parabola_point()).correction
+    assert _factor_fields(correction) == pins["parabola"]["correction"]
 
 
 def test_kappa_index_bounds():
@@ -72,20 +124,16 @@ def test_kappa_index_bounds():
 
 def test_normal_order_plain_z_polynomial():
     # a bare 1x1 factor z^2 + 3 collapses to d^2 + 3
-    ring = CoeffRing(POLY)
-    zring = RatFuncRing("z")
-    m = Mat(zring, 1, 1, [zring.from_poly(UniPoly("z", [3, 0, 1]))])
-    op = normal_order(OrderedProduct([("z", m)]), ring)
-    d = DiffOp.partial(ring.as_localized())
-    assert op == d.mul(d).add(DiffOp(ring.as_localized(), [3]))
+    m = Mat(RFMAT, 1, 1, [RF.from_poly(UniPoly("z", [3, 0, 1]))])
+    op = normal_order(OrderedProduct([("z", m)]), RF)
+    d = DiffOp.partial(RF)
+    assert op == d.mul(d).add(DiffOp(RF, [3]))
 
 
 def test_normal_order_rejects_residual_pole():
-    ring = CoeffRing(POLY)
-    zring = RatFuncRing("z")
-    m = Mat(zring, 1, 1, [zring.inv(zring.gen())])  # 1/z
+    m = Mat(RFMAT, 1, 1, [RF.from_poly(UniPoly.x("z")).inv()])  # 1/z
     with pytest.raises(ValueError, match="residual z-denominator"):
-        normal_order(OrderedProduct([("z", m)]), ring)
+        normal_order(OrderedProduct([("z", m)]), RF)
 
 
 def test_ideal_generators_line_n1():
@@ -180,10 +228,10 @@ def test_torus_generators_live_in_laurent_ring():
     p = torus_points()[0]
     ideal = ideal_generators(p)
     ring = ideal.generators[0].ring
-    assert ring == coeff_ring_for(torus(), localized=True)
+    assert ring == coeff_ring_for(torus())
     for g in ideal.generators:
         for c in g.coeffs:
-            assert c.ring.compatible(ring)
+            assert c.ring == ring
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +245,7 @@ def _oracle_zrow(p, sign):
     shifted = _lift(p.Zmat.transpose(), zpoly).sub(
         Mat.identity(zpoly, p.n).scalar_mul(zpoly.gen()))
     zrow = _lift(_vbar_t(p), zpoly).mul(shifted.adjugate()).scalar_mul(zpoly.from_int(sign))
-    return zrow.map_entries(RatFunc.from_poly, RatFuncRing("z"))
+    return zrow.map_entries(RF.from_poly, RFMAT)
 
 
 def _oracle_ideal(p):
@@ -205,7 +253,7 @@ def _oracle_ideal(p):
     from cofactor determinants, then det(Z - z Id) plus the normal-ordered
     product (X^t - x Id)^{-1} [(Y^t + y Id)] w^t through DiffOp.mul."""
     c = p.curve
-    ring = coeff_ring_for(c, localized=True)
+    ring = coeff_ring_for(c)
     zrow = _oracle_zrow(p, -1)
     det_z = char_poly(p.Zmat, "z")
     gens = [DiffOp(ring, [ring.from_poly(char_poly(p.Xmat, "x"))])]

@@ -222,7 +222,7 @@ def test_codim_stabilizes_torus():
 
 def test_codim_handmade_oracle():
     # <x^2, x d + 2>: index-1 sublattice of the x^0-ambient at every level
-    ring = CoeffRing(POLY, localized=True)
+    ring = CoeffRing(POLY)
     g1 = DiffOp(ring, [ring.from_poly(X * X)])
     g2 = DiffOp(ring, [ring.from_int(2), ring.x()])
     rep = codim(FractionalIdeal(line_points()[0].curve, [g1, g2]), 6)
@@ -230,7 +230,7 @@ def test_codim_handmade_oracle():
 
 
 def test_codim_unit_ideal_is_zero():
-    ring = CoeffRing(POLY, localized=True)
+    ring = CoeffRing(POLY)
     one = DiffOp(ring, [ring.one()])
     rep = codim(FractionalIdeal(line_points()[0].curve, [one]), 4)
     assert rep.stabilized == 0
@@ -239,7 +239,7 @@ def test_codim_unit_ideal_is_zero():
 
 def test_codim_not_full_rank_reported():
     # a single order-2 generator spans nothing below level 2
-    ring = CoeffRing(POLY, localized=True)
+    ring = CoeffRing(POLY)
     d = DiffOp.partial(ring)
     rep = codim(FractionalIdeal(line_points()[0].curve, [d.mul(d)]), 1)
     assert rep.stabilized is None
@@ -250,7 +250,7 @@ def test_codim_not_full_rank_reported():
 def test_codim_non_nested_error():
     # at k=1 the pivots are x^2 (d^1 column) and x(x+1) (d^0 column):
     # same degree, neither a multiple of the other
-    ring = CoeffRing(POLY, localized=True)
+    ring = CoeffRing(POLY)
     g1 = DiffOp(ring, [ring.from_poly(X * X * (X + ONE) * (X + ONE))])
     g2 = DiffOp(ring, [ring.from_poly(X), ring.from_poly(X * X)])
     with pytest.raises(PreconditionError, match="non-nested"):
@@ -283,7 +283,7 @@ def _codim_per_level_oracle(gens, kmax):
 
 
 def test_codim_per_level_oracle():
-    ring = CoeffRing(POLY, localized=True)
+    ring = CoeffRing(POLY)
     d = DiffOp.partial(ring)
     line = line_points()[0].curve
     ideals = [
