@@ -51,9 +51,12 @@ def _frac_str(c) -> str:
 
 
 def _parse_frac(s) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise SchemaError("expected a rational string, got %r" % (s,))
-    return Fraction(str(s))
+    if not isinstance(s, bool) and isinstance(s, (str, int)):
+        try:
+            return Fraction(str(s))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError("expected a rational string, got %r" % (s,))
 
 
 def _poly_json(p: UniPoly) -> list:
@@ -202,7 +205,10 @@ def _parse_ideal(d) -> FractionalIdeal:
         if D.is_zero:
             raise SchemaError("zero denominator")
         coeffs = []
-        for entry in item.get("coeffs", []):
+        entries = item.get("coeffs", [])
+        if not isinstance(entries, list):
+            raise SchemaError("'coeffs' must be a list")
+        for entry in entries:
             if not isinstance(entry, list) or not entry or len(entry) > 2:
                 raise SchemaError("coefficient entries are [poly] or [poly, poly]")
             a = _parse_poly(entry[0])
@@ -308,7 +314,7 @@ def _handle_act(payload, options):
     if unit_power is not None:
         try:
             r = rat(Fraction(unit_power))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise SchemaError("--unit-power must be rational, got %r" % (unit_power,))
         return _point_json(lambda_act(p, r))
     try:

@@ -10,7 +10,6 @@ tangent space, Hom/Ext dimensions) and applies the symmetry actions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
 from .exact import Mat, QQ, rat, bipoly_apply, rational_rank
 from .errors import PreconditionError
@@ -21,10 +20,11 @@ from . import curve as curvemod
 # relations as words
 #
 # A relation is a sum of coefficient-weighted words in the alphabet
-#   "X", "Y", "Z", "I", ("v", i), ("w", i)
-# evaluating to a matrix (shape "mat": n x n, shape "scalar": 1 x 1).
-# Keeping relations in word form lets verification and tangent-space
-# linearization share one evaluator.
+#   "X", "Y", "Z", ("v", i), ("w", i)
+# evaluating to a matrix (shape "mat": n x n, shape "scalar": 1 x 1); the
+# empty word is the identity of its shape.  Keeping relations in word form
+# lets verification and tangent-space linearization share one table of word
+# products (_word_products).
 # ---------------------------------------------------------------------------
 
 
@@ -44,11 +44,8 @@ class Relation:
 
 
 def _delta_slots(n_pairs):
-    """Expansions of the slot Delta = I + sum_i v_i w_i."""
-    slots = [("I",)]
-    for i in range(n_pairs):
-        slots.append((("v", i), ("w", i)))
-    return slots
+    """Expansions of the slot Delta = I + sum_i v_i w_i; I is the empty word."""
+    return [()] + [(("v", i), ("w", i)) for i in range(n_pairs)]
 
 
 def _map_word(word, delta):
@@ -150,8 +147,6 @@ class CMPoint:
             return self.Ymat
         if sym == "Z":
             return self.Zmat
-        if sym == "I":
-            return Mat.identity(QQ, self.n)
         kind, i = sym
         return self.vs[i] if kind == "v" else self.ws[i]
 
@@ -167,21 +162,24 @@ class CMPoint:
         return "CMPoint(%r, n=%d)" % (self.curve, self.n)
 
 
-def _eval_word(p: CMPoint, word, shape) -> Mat:
-    if not word:
-        return Mat.identity(QQ, 1 if shape == "scalar" else p.n)
-    out = p.symbol_value(word[0])
-    for sym in word[1:]:
-        out = out.mul(p.symbol_value(sym))
-    return out
+def _word_products(p: CMPoint):
+    """One memoised word-product table per relation shape, as a function of
+    (shape, word): () is the identity of the shape, a one-symbol word its
+    symbol's matrix, and a longer word (its prefix) times (its last symbol)."""
+    tables = {"mat": {(): Mat.identity(QQ, p.n)}, "scalar": {(): Mat.identity(QQ, 1)}}
 
+    def product(shape, word):
+        table = tables[shape]
+        k = len(word)
+        while word[:k] not in table:
+            k -= 1
+        m = table[word[:k]]
+        for j in range(k, len(word)):
+            sym = p.symbol_value(word[j])
+            m = table[word[:j + 1]] = m.mul(sym) if j else sym
+        return m
 
-def _eval_relation(p: CMPoint, rel: Relation) -> Mat:
-    size = 1 if rel.shape == "scalar" else p.n
-    acc = Mat.zeros(QQ, size, size)
-    for coeff, word in rel.terms:
-        acc = acc.add(_eval_word(p, word, rel.shape).scalar_mul(coeff))
-    return acc
+    return product
 
 
 class VerifyReport:
@@ -214,8 +212,12 @@ def verify_relations(p: CMPoint) -> VerifyReport:
     if p.curve.kind == curvemod.TORUS:
         ok = p.n == 0 or p.Xmat.det() != 0
         entries.append(("x-invertible", ok, None))
+    product = _word_products(p)
     for rel in relation_set(p.curve, p.n, p.n_inf):
-        res = _eval_relation(p, rel)
+        size = 1 if rel.shape == "scalar" else p.n
+        res = Mat.zeros(QQ, size, size)
+        for coeff, word in rel.terms:
+            res = res.add(product(rel.shape, word).scalar_mul(coeff))
         entries.append((rel.name, res.is_zero(), res))
     return VerifyReport(entries)
 
@@ -468,18 +470,12 @@ def tangent_dim(p: CMPoint) -> int:
         shapes.append(("Y", p.n, p.n))
     for i in range(p.n_inf):
         shapes += [(("v", i), p.n, 1), (("w", i), 1, p.n)]
+    product = _word_products(p)
     blocks = []
     for rel in relation_set(p.curve, p.n, p.n_inf):
-        ident = Mat.identity(QQ, 1 if rel.shape == "scalar" else p.n)
-        terms = []
-        for coeff, word in rel.terms:
-            mats = [p.symbol_value(s) for s in word]
-            for pos, sym in enumerate(word):
-                if sym != "I":
-                    pre, suf = mats[:pos], mats[pos + 1:]
-                    terms.append((sym, coeff, reduce(Mat.mul, pre) if pre else ident,
-                                  reduce(Mat.mul, suf) if suf else ident))
-        blocks.append(terms)
+        blocks.append([(sym, coeff, product(rel.shape, word[:pos]),
+                        product(rel.shape, word[pos + 1:]))
+                       for coeff, word in rel.terms for pos, sym in enumerate(word)])
     return _nullspace_dim(_linear_cols(blocks, shapes))
 
 

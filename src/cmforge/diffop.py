@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RingBase, UniPoly, rat
+from .exact import UniPoly, rat
 from . import curve as curvemod
 
 POLY = "poly"
@@ -33,11 +33,14 @@ class CoeffRing:
     laurent: Q[x, 1/x]                 (torus)
     hyper:   Q[x, y] / (y^2 - P(x))    (hyperelliptic, elements a(x) + b(x) y)
 
-    each with any monic denominator in x allowed, so every ring is a field
-    (see CoeffMatRing); on the line and the torus it is Q(x).
+    each with any monic denominator in x allowed, so every ring is a field:
+    Q(x) on the line and the torus, and on the hyperelliptic curve too,
+    because P is squarefree and nonconstant, so the norm a^2 - b^2 P only
+    vanishes at 0.  As a Mat ring it supplies the constants and division.
     """
 
     __slots__ = ("kind", "P")
+    is_field = True
 
     def __init__(self, kind: str, P: UniPoly | None = None):
         if kind not in (POLY, LAURENT, HYPER):
@@ -86,6 +89,14 @@ class CoeffRing:
         if self.kind != HYPER:
             raise ValueError("y exists only in the hyperelliptic ring")
         return self.coeff(UniPoly("x", []), UniPoly.const("x", 1))
+
+    # division for Mat ------------------------------------------------------
+
+    def inv(self, a: "Coeff") -> "Coeff":
+        return a.inv()
+
+    def exact_div(self, a: "Coeff", b: "Coeff") -> "Coeff":
+        return a * b.inv()
 
     def __repr__(self):
         tag = {POLY: "Q[x]", LAURENT: "Q[x,1/x]", HYPER: "Q[x,y]/(y^2-P)"}[self.kind]
@@ -261,43 +272,6 @@ def _normalize(a, b, den):
         if b is not None:
             b = b * inv
     return a, b, den
-
-
-class CoeffMatRing(RingBase):
-    """Ring protocol adapter so Mat can hold Coeff entries.
-
-    Every coefficient ring is a field (on the hyperelliptic curve because P
-    is squarefree and nonconstant, so the norm a^2 - b^2 P only vanishes at 0).
-    """
-
-    is_field = True
-
-    def __init__(self, cring: CoeffRing):
-        self.cring = cring
-
-    def zero(self):
-        return self.cring.zero()
-
-    def one(self):
-        return self.cring.one()
-
-    def from_int(self, n: int):
-        return self.cring.from_int(n)
-
-    def from_frac(self, c):
-        return self.cring.from_frac(c)
-
-    def inv(self, a: "Coeff") -> "Coeff":
-        return a.inv()
-
-    def exact_div(self, a: "Coeff", b: "Coeff") -> "Coeff":
-        return a * b.inv()
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffMatRing) and other.cring == self.cring
-
-    def __hash__(self):
-        return hash(("coeffmat", self.cring))
 
 
 class DiffOp:

@@ -1,7 +1,9 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision rationals, univariate and bivariate polynomials, and
-matrices over a pluggable commutative ring with fraction-free determinants.
+matrices with fraction-free determinants.  A matrix computes with its
+entries' own operators; its ring object (QQ, PolyRing, diffop.CoeffRing)
+supplies only the constants and the division that elimination needs.
 Rational functions are not a type of their own here: a quotient p/q of
 polynomials is a ``diffop.Coeff``.  Everything here is immutable and pure.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 
 
 def rat(v) -> Fraction:
@@ -499,31 +502,9 @@ def bipoly_apply(f: BiPoly, a: "Mat", b: "Mat | None" = None) -> "Mat":
     return out
 
 
-class RingBase:
-    """Protocol object describing element arithmetic for Mat."""
+class RationalRing:
+    """The rationals as a Mat coefficient ring."""
 
-    is_field = False
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero())
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-
-class RationalRing(RingBase):
     is_field = True
 
     def zero(self):
@@ -532,9 +513,6 @@ class RationalRing(RingBase):
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def from_frac(self, c: Fraction):
         return rat(c)
 
@@ -542,8 +520,6 @@ class RationalRing(RingBase):
         return a / b
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverting zero")
         return 1 / a
 
     def __eq__(self, other):
@@ -553,8 +529,10 @@ class RationalRing(RingBase):
         return hash("QQ")
 
 
-class PolyRing(RingBase):
+class PolyRing:
     """Ring of UniPoly in a fixed variable."""
+
+    is_field = False
 
     def __init__(self, var: str):
         self.var = var
@@ -591,7 +569,13 @@ QQ = RationalRing()
 
 
 class Mat:
-    """Immutable row-major matrix over a declared coefficient ring."""
+    """Immutable row-major matrix over a declared coefficient ring.
+
+    Entry arithmetic and zero tests use the entries' own operators; the ring
+    object supplies only the constants zero(), one() and from_frac(), and
+    the division that det, inv and rref need: exact_div(), plus inv() and a
+    true is_field for fields.
+    """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -632,38 +616,29 @@ class Mat:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
     def col(self, j: int):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return list(self.entries[j::self.cols])
 
     def add(self, other: "Mat") -> "Mat":
         self._check_shape(other)
-        rg = self.ring
-        return Mat(rg, self.rows, self.cols, [rg.add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Mat(self.ring, self.rows, self.cols, map(add, self.entries, other.entries))
 
     def sub(self, other: "Mat") -> "Mat":
         self._check_shape(other)
-        rg = self.ring
-        return Mat(rg, self.rows, self.cols, [rg.sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Mat(self.ring, self.rows, self.cols, map(sub, self.entries, other.entries))
 
     def neg(self) -> "Mat":
-        rg = self.ring
-        return Mat(rg, self.rows, self.cols, [rg.neg(a) for a in self.entries])
+        return Mat(self.ring, self.rows, self.cols, [-a for a in self.entries])
 
     def scalar_mul(self, c) -> "Mat":
-        rg = self.ring
-        return Mat(rg, self.rows, self.cols, [rg.mul(c, a) for a in self.entries])
+        return Mat(self.ring, self.rows, self.cols, [c * a for a in self.entries])
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch for mul: %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        rg = self.ring
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = rg.zero()
-                for k in range(self.cols):
-                    acc = rg.add(acc, rg.mul(self.entry(i, k), other.entry(k, j)))
-                out.append(acc)
-        return Mat(rg, self.rows, other.cols, out)
+        zero = self.ring.zero()
+        cols = [other.col(j) for j in range(other.cols)]
+        return Mat(self.ring, self.rows, other.cols,
+                   [sum(map(mul, self.row(i), c), zero) for i in range(self.rows) for c in cols])
 
     def transpose(self) -> "Mat":
         return Mat(self.ring, self.cols, self.rows,
@@ -674,16 +649,13 @@ class Mat:
                    [f(e) for e in self.entries])
 
     def is_zero(self) -> bool:
-        rg = self.ring
-        return all(rg.is_zero(e) for e in self.entries)
+        return all(e == 0 for e in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        rg = self.ring
-        return all(rg.eq(a, b) for a, b in zip(self.entries, other.entries))
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.entries == other.entries)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -704,9 +676,9 @@ class Mat:
         sign = 1
         prev = rg.one()
         for k in range(n - 1):
-            if rg.is_zero(a[k][k]):
+            if a[k][k] == 0:
                 for i in range(k + 1, n):
-                    if not rg.is_zero(a[i][k]):
+                    if a[i][k] != 0:
                         a[k], a[i] = a[i], a[k]
                         sign = -sign
                         break
@@ -714,88 +686,71 @@ class Mat:
                     return rg.zero()
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    num = rg.sub(rg.mul(a[i][j], a[k][k]), rg.mul(a[i][k], a[k][j]))
-                    a[i][j] = rg.exact_div(num, prev)
+                    a[i][j] = rg.exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
                 a[i][k] = rg.zero()
             prev = a[k][k]
         d = a[n - 1][n - 1]
-        return rg.neg(d) if sign < 0 else d
+        return -d if sign < 0 else d
+
+    def _gauss_jordan(self, a: list, stop: int) -> list:
+        """Gauss-Jordan over a field on the rows a, pivoting in the first
+        stop columns; returns the pivot columns."""
+        rg = self.ring
+        if not rg.is_field:
+            raise ValueError("elimination requires a field coefficient ring")
+        pivots = []
+        for col in range(stop):
+            r = len(pivots)
+            piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            c = rg.inv(a[r][col])
+            a[r] = [c * e for e in a[r]]
+            for i in range(len(a)):
+                if i != r and a[i][col] != 0:
+                    f = a[i][col]
+                    a[i] = [e - f * p for e, p in zip(a[i], a[r])]
+            pivots.append(col)
+            if len(pivots) == len(a):
+                break
+        return pivots
 
     def inv(self) -> "Mat":
         """Gauss-Jordan inverse over a field."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        rg = self.ring
-        if not rg.is_field:
-            raise ValueError("inverse requires a field coefficient ring")
         n = self.rows
-        a = [self.row(i) + Mat.identity(rg, n).row(i) for i in range(n)]
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if not rg.is_zero(a[i][col]):
-                    piv = i
-                    break
-            if piv is None:
-                raise ZeroDivisionError("singular matrix (determinant vanishes)")
-            a[col], a[piv] = a[piv], a[col]
-            c = rg.inv(a[col][col])
-            a[col] = [rg.mul(c, e) for e in a[col]]
-            for i in range(n):
-                if i != col and not rg.is_zero(a[i][col]):
-                    f = a[i][col]
-                    a[i] = [rg.sub(e, rg.mul(f, p)) for e, p in zip(a[i], a[col])]
-        return Mat.from_rows(rg, [row[n:] for row in a])
+        ident = Mat.identity(self.ring, n)
+        a = [self.row(i) + ident.row(i) for i in range(n)]
+        if len(self._gauss_jordan(a, n)) < n:
+            raise ZeroDivisionError("singular matrix (determinant vanishes)")
+        return Mat.from_rows(self.ring, [row[n:] for row in a])
 
     def rref(self):
         """Reduced row echelon form over a field; returns (rows, pivot column list)."""
-        rg = self.ring
-        if not rg.is_field:
-            raise ValueError("rref requires a field coefficient ring")
         a = [self.row(i) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if not rg.is_zero(a[i][col]):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            c = rg.inv(a[r][col])
-            a[r] = [rg.mul(c, e) for e in a[r]]
-            for i in range(self.rows):
-                if i != r and not rg.is_zero(a[i][col]):
-                    f = a[i][col]
-                    a[i] = [rg.sub(e, rg.mul(f, p)) for e, p in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return a, pivots
+        return a, self._gauss_jordan(a, self.cols)
 
     def adjugate(self) -> "Mat":
         """Adjugate by cofactor expansion (intended for small matrices)."""
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
-        rg = self.ring
         if n == 0:
             return self
         cof = []
         for i in range(n):
             row = []
             for j in range(n):
-                minor = Mat.from_rows(rg, [
+                minor = Mat.from_rows(self.ring, [
                     [self.entry(r, c) for c in range(n) if c != j]
                     for r in range(n) if r != i
                 ])
                 d = minor.det()
-                row.append(rg.neg(d) if (i + j) % 2 else d)
+                row.append(-d if (i + j) % 2 else d)
             cof.append(row)
-        return Mat.from_rows(rg, cof).transpose()
+        return Mat.from_rows(self.ring, cof).transpose()
 
 
 def rational_rank(vectors) -> int:
@@ -851,9 +806,9 @@ def sylvester_det(pc, qc, ring):
     """
     pc = list(pc)
     qc = list(qc)
-    while pc and ring.is_zero(pc[0]):
+    while pc and pc[0] == 0:
         pc.pop(0)
-    while qc and ring.is_zero(qc[0]):
+    while qc and qc[0] == 0:
         qc.pop(0)
     if not pc and not qc:
         raise ValueError("resultant of two zero polynomials")

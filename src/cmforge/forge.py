@@ -33,13 +33,12 @@ from .exact import Mat, QQ, UniPoly, char_poly, bipoly_apply
 from .errors import PreconditionError
 from . import curve as curvemod
 from .cmspace import CMPoint, verify_relations
-from .diffop import (HYPER, POLY, Coeff, CoeffRing, CoeffMatRing, DiffOp,
-                     FractionalIdeal, coeff_ring_for)
+from .diffop import (HYPER, POLY, Coeff, CoeffRing, DiffOp, FractionalIdeal,
+                     coeff_ring_for)
 
 _SYMBOLS = (None, "x", "y", "z")
 # entries of the x-, y- and z-factors: rational functions of one variable
 _RF = CoeffRing(POLY)
-_RFMAT = CoeffMatRing(_RF)
 
 
 class OrderedProduct:
@@ -47,7 +46,7 @@ class OrderedProduct:
 
     Each factor is a pair (symbol, m): symbol None for a scalar-entried
     matrix over Q, otherwise "x", "y" or "z" with m over the rational
-    function field in that symbol (_RFMAT, entries in that variable).
+    function field in that symbol (entries Coeffs of _RF in that variable).
     Adjacent factors carry distinct symbols unless one is scalar.
     """
 
@@ -147,8 +146,8 @@ def _resolvent(A: Mat, t: str) -> Mat:
     n = A.rows
     f = char_poly(A, t)
     cols = [_adjugate_times(A, f, [int(i == j) for i in range(n)]) for j in range(n)]
-    return Mat(_RFMAT, n, n, [Coeff(_RF, UniPoly(t, [c[i] for c in cols[j]]), None, f)
-                              for i in range(n) for j in range(n)])
+    return Mat(_RF, n, n, [Coeff(_RF, UniPoly(t, [c[i] for c in cols[j]]), None, f)
+                           for i in range(n) for j in range(n)])
 
 
 def _framing_sum(p: CMPoint) -> Mat:
@@ -168,7 +167,7 @@ def _numerator_factor(p: CMPoint, ker) -> Mat | None:
     """Numerator legs of the nu kernel, substituted: a Mat over Q(y) (or Q)."""
     n = p.n
     uses_y = any(j or l for _, (_, j), (_, l) in ker.terms) or "y" in ker.denom_factors
-    ring = _RFMAT if uses_y else QQ
+    ring = _RF if uses_y else QQ
     Xt = p.Xmat.transpose()
     Yt = p.Ymat.transpose() if p.Ymat is not None else None
     acc = Mat.zeros(ring, n, n)
@@ -218,11 +217,11 @@ def _correction_factors(p: CMPoint, i: int, z_factor: Mat) -> list:
     factors = [("z", z_factor), ("x", _resolvent(p.Xmat.transpose(), "x"))]
     if c.has_y:
         Yt = p.Ymat.transpose()
-        ydiag = Mat.identity(_RFMAT, p.n).scalar_mul(_RF.from_poly(UniPoly.x("y")))
+        ydiag = Mat.identity(_RF, p.n).scalar_mul(_RF.from_poly(UniPoly.x("y")))
         if c.is_hyperelliptic:
-            yfac = _lift(Yt, _RFMAT).add(ydiag)
+            yfac = _lift(Yt, _RF).add(ydiag)
         else:
-            liftX = _lift(p.Xmat.transpose(), _RFMAT)
+            liftX = _lift(p.Xmat.transpose(), _RF)
             yfac = _resolvent(Yt, "y").mul(bipoly_apply(c.F, liftX, ydiag))
         factors.append(("y", yfac))
     factors.append((None, p.ws[i].transpose()))
@@ -241,7 +240,7 @@ def kappa(p: CMPoint, i: int = 0) -> KappaElement:
         raise ValueError("framing index out of range")
     if p.n == 0:
         return KappaElement(p.curve, i, 1, ())
-    zfac = _lift(_vbar_t(p), _RFMAT).mul(_resolvent(p.Zmat.transpose(), "z"))
+    zfac = _lift(_vbar_t(p), _RF).mul(_resolvent(p.Zmat.transpose(), "z"))
     zfac = zfac.scalar_mul(_RF.from_int(_kappa_sign(p.curve)))
     return KappaElement(p.curve, i, 1,
                         (OrderedProduct(_correction_factors(p, i, zfac)),))
@@ -277,24 +276,23 @@ def normal_order(expr: OrderedProduct, ring: CoeffRing) -> DiffOp:
     product must collapse to 1 x 1.  z-powers are moved rightmost by the
     Leibniz rule through DiffOp multiplication.
     """
-    mring = CoeffMatRing(ring)
     zpart = None
     rest = None
     for sym, m in expr.factors:
         if sym == "z" or (sym is None and rest is None):
             if rest is not None:
                 raise ValueError("z-factor appears right of a coefficient factor")
-            lifted = _lift(m, _RFMAT) if sym is None else m
+            lifted = _lift(m, _RF) if sym is None else m
             zpart = lifted if zpart is None else zpart.mul(lifted)
             continue
         if sym is None:
-            conv = _lift(m, mring)
+            conv = _lift(m, ring)
         else:
-            conv = m.map_entries(lambda rf: _coeff_in(rf, ring, sym), mring)
+            conv = m.map_entries(lambda rf: _coeff_in(rf, ring, sym), ring)
         rest = conv if rest is None else rest.mul(conv)
 
     if zpart is None:
-        zpart = Mat.identity(_RFMAT, rest.rows if rest is not None else 1)
+        zpart = Mat.identity(_RF, rest.rows if rest is not None else 1)
     degree = 0
     for e in zpart.entries:
         if e.den.degree() > 0:
@@ -304,7 +302,7 @@ def normal_order(expr: OrderedProduct, ring: CoeffRing) -> DiffOp:
     partial = DiffOp.partial(ring)
     power = DiffOp(ring, [ring.one()])
     for k in range(degree + 1):
-        Ak = Mat(mring, zpart.rows, zpart.cols,
+        Ak = Mat(ring, zpart.rows, zpart.cols,
                  [ring.from_frac(e.a.coeff(k)) for e in zpart.entries])
         ck = Ak.mul(rest) if rest is not None else Ak
         if ck.rows != 1 or ck.cols != 1:
@@ -458,8 +456,8 @@ def ideal_generators(p: CMPoint):
     det_z = char_poly(p.Zmat, "z")
 
     if general_plane:
-        zrow = Mat(_RFMAT, 1, p.n, [Coeff(_RF, UniPoly("z", col))
-                                    for col in zip(*_z_rows(p, det_z))])
+        zrow = Mat(_RF, 1, p.n, [Coeff(_RF, UniPoly("z", col))
+                                 for col in zip(*_z_rows(p, det_z))])
         correction = OrderedProduct(_correction_factors(p, 0, zrow))
         gy = char_poly(p.Ymat, "y")
         return SymbolicGenerators(c, gx, gy, det_z, correction)

@@ -3,15 +3,16 @@ runtime against the stated budget.
 
 The codimension criterion is cross-checked against a brute-force rank oracle
 that never touches the Hermite-form code: cleared generator rows are shifted
-across a truncated monomial window and ranked by sparse Gaussian elimination;
-the codimension falls out of window counting at three consecutive levels, and
-two window sizes must agree.
+across a truncated monomial window and ranked by fraction-free sparse integer
+elimination; the codimension falls out of window counting at three
+consecutive levels, and two window sizes must agree.
 """
 
 import json
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 from battery import (cubic_plus_one, full_battery, hyper_points, line_points,
                      torus_points)
@@ -139,7 +140,9 @@ def _oracle_rows(ideal, kmax):
 
 
 def _rank_by_level(tagged, levels):
-    """Sparse Gauss, rows processed in tag order; rank after each level."""
+    """Fraction-free sparse integer elimination, rows processed in tag order;
+    rank after each level.  Each row is scaled to integers by the lcm of its
+    own denominators, and its content is removed after every step."""
     pivots = {}
     rank = 0
     out = {}
@@ -149,28 +152,37 @@ def _rank_by_level(tagged, levels):
         while next_level is not None and tag > next_level:
             out[next_level] = rank
             next_level = next(level_iter, None)
-        r = dict(row)
+        den = lcm(*[c.denominator for c in row.values()])
+        r = _primitive({k: c.numerator * (den // c.denominator) for k, c in row.items()})
         while r:
             key = min(r)
             piv = pivots.get(key)
             if piv is None:
-                c = r[key]
-                pivots[key] = {kk: vv / c for kk, vv in r.items()}
+                pivots[key] = r
                 rank += 1
                 break
-            c = r.pop(key)
-            for kk, vv in piv.items():
-                if kk == key:
-                    continue
-                nv = r.get(kk, Fraction(0)) - c * vv
+            # b * r - a * piv cancels the entry at key
+            g = gcd(r[key], piv[key])
+            a, b = r[key] // g, piv[key] // g
+            if b != 1:
+                r = {k: b * v for k, v in r.items()}
+            for k, v in piv.items():
+                nv = r.get(k, 0) - a * v
                 if nv:
-                    r[kk] = nv
+                    r[k] = nv
                 else:
-                    r.pop(kk, None)
+                    r.pop(k, None)
+            r = _primitive(r)
     while next_level is not None:
         out[next_level] = rank
         next_level = next(level_iter, None)
     return out
+
+
+def _primitive(row):
+    """A sparse int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
 def _oracle_stabilized(ideal, kmax, extra):

@@ -278,6 +278,24 @@ def test_exit_2_on_make_point_precondition(tmp_path, capsys):
     assert main(["make-point", inp]) == 2
 
 
+def _line_ideal_json(coeffs):
+    return {"curve": {"kind": "AffineLine"},
+            "generators": [{"denominator_x": ["1"], "coeffs": coeffs}]}
+
+
+@pytest.mark.parametrize("command, doc, options", [
+    ("make-point", {"curve": {"kind": "AffineLine"}, "points": ["1/0", 1]}, []),
+    ("codim", _line_ideal_json([[["0", "1/0"]]]), []),
+    ("make-point", {"curve": {"kind": "AffineLine"}, "points": ["x", 1]}, []),
+    ("codim", _line_ideal_json(5), []),
+    ("act", _line_point_json(), ["--unit-power", "1/0"]),
+], ids=["zero-denominator-point", "zero-denominator-coeff", "non-number", "coeffs-not-list",
+        "zero-denominator-unit-power"])
+def test_exit_1_on_malformed_rational_data(tmp_path, capsys, command, doc, options):
+    assert main([command, _write(tmp_path, "in.json", doc)] + options) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "schema"
+
+
 def test_exit_1_on_unknown_command():
     assert run(JobSpec("bogus")) == 1
 

@@ -192,8 +192,6 @@ def _tangent_reference(p):
             acc = Mat.zeros(QQ, size, size)
             for coeff, word in rel.terms:
                 for pos, sym in enumerate(word):
-                    if sym == "I":
-                        continue
                     term = Mat.identity(QQ, size)
                     for k, s in enumerate(word):
                         term = term.mul(delta[s] if k == pos else p.symbol_value(s))

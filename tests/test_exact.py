@@ -1,5 +1,6 @@
 """Exact arithmetic layer: polynomials, bivariate polynomials, matrices."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmforge.diffop import CoeffMatRing, CoeffRing, POLY
+from cmforge.diffop import CoeffRing, HYPER, POLY
 from cmforge.exact import (BiPoly, Mat, PolyRing, QQ, UniPoly, char_poly, rat,
                            rational_rank, resultant)
 
@@ -175,11 +176,67 @@ def test_resultant_common_root():
     assert resultant(x * x - 1, x - 2) != 0
 
 
-def test_ratfuncring_is_field():
-    ring = CoeffMatRing(CoeffRing(POLY))
-    x = ring.cring.x()
-    assert ring.is_field
-    assert ring.mul(x, ring.inv(x)) == ring.one()
+def _ring_and_elements(name, rng):
+    """A Mat coefficient ring and a maker of small random elements of it."""
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def poly():
+        return UniPoly("x", [frac() for _ in range(rng.randint(0, 2))])
+
+    if name == "rationals":
+        return QQ, frac
+    if name == "polynomials":
+        return PolyRing("x"), poly
+    ring = CoeffRing(POLY) if name == "line" else CoeffRing(HYPER, UniPoly("x", [1, 0, 0, 1]))
+
+    def coeff():
+        den = UniPoly("x", [rng.randint(1, 3), rng.randint(0, 1)])
+        return ring.coeff(poly(), poly() if ring.kind == HYPER else None, den)
+
+    return ring, coeff
+
+
+@pytest.mark.parametrize("name", ["rationals", "polynomials", "line", "hyperelliptic"])
+def test_mat_over_each_ring(name):
+    """Mat arithmetic runs on the entries' operators; the ring object only
+    supplies constants and division.  Field rings also invert and row-reduce."""
+    rng = random.Random(11)
+    ring, elem = _ring_and_elements(name, rng)
+
+    def invertible():
+        while True:
+            m = Mat(ring, 3, 3, [elem() for _ in range(9)])
+            if m.det() != 0:
+                return m
+
+    a, b = invertible(), invertible()
+    ident, zero = Mat.identity(ring, 3), Mat.zeros(ring, 3, 3)
+    assert zero.is_zero() and a.sub(a).is_zero() and a.sub(a) == zero
+    assert not a.is_zero() and a != b and a.add(zero) == a == a.neg().neg()
+    assert a.mul(b).det() == a.det() * b.det()
+    assert a.mul(a.adjugate()) == ident.scalar_mul(a.det())
+    assert ring.is_field == (name != "polynomials")
+    if ring.is_field:
+        assert a.mul(a.inv()) == ident == a.inv().mul(a)
+        rows, pivots = a.rref()
+        assert pivots == [0, 1, 2] and Mat.from_rows(ring, rows) == ident
+    else:
+        with pytest.raises(ValueError):
+            a.inv()
+    if name in ("rationals", "polynomials"):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(e):
+            cs = e.coeffs if isinstance(e, UniPoly) else (e,)
+            return sum((sympy.Rational(c.numerator, c.denominator) * x ** i
+                        for i, c in enumerate(cs)), sympy.Integer(0))
+
+        want = sympy.Matrix(3, 3, [to_sympy(e) for e in a.entries]).det()
+        got = a.det()
+        assert _same(got if name == "polynomials" else UniPoly("x", [got]),
+                     sympy.Poly(want, x, domain=sympy.QQ))
 
 
 def test_mat_inv_singular_rejected():

@@ -13,8 +13,7 @@ from cmforge.cli import _ideal_json
 from cmforge.cmspace import (CMPoint, commutant_dim, generic_point, lambda_act,
                              tangent_dim, verify_relations)
 from cmforge.curve import affine_line, plane_curve, torus
-from cmforge.diffop import (CoeffMatRing, CoeffRing, DiffOp, FractionalIdeal, POLY,
-                            coeff_ring_for)
+from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY, coeff_ring_for
 from cmforge.errors import PreconditionError
 from cmforge.exact import BiPoly, Mat, PolyRing, QQ, UniPoly, char_poly
 from cmforge.forge import (OrderedProduct, SymbolicGenerators, _correction_factors,
@@ -22,9 +21,9 @@ from cmforge.forge import (OrderedProduct, SymbolicGenerators, _correction_facto
                            ideal_generators, kappa, normal_order)
 from cmforge.lattice import codim
 
-# rational functions of one variable: Coeffs of the line's ring, in Mats over RFMAT
+# rational functions of one variable: Coeffs of the line's ring RF, which is
+# also the ring of the Mats that hold them
 RF = CoeffRing(POLY)
-RFMAT = CoeffMatRing(RF)
 
 
 def _parabola_point():
@@ -33,7 +32,7 @@ def _parabola_point():
 
 
 def test_ordered_product_rejects_adjacent_same_symbol():
-    m = Mat.identity(RFMAT, 1)
+    m = Mat.identity(RF, 1)
     with pytest.raises(ValueError):
         OrderedProduct([("x", m), ("x", m)])
     OrderedProduct([("x", m), (None, Mat.identity(QQ, 1)), ("x", m)])
@@ -80,8 +79,8 @@ def test_resolvent_matches_gauss_jordan_inverse():
              for n in range(1, 6) for _ in range(2)]
     for A in mats:
         for t in "xyz":
-            shifted = _lift(A, RFMAT).sub(
-                Mat.identity(RFMAT, A.rows).scalar_mul(RF.from_poly(UniPoly.x(t))))
+            shifted = _lift(A, RF).sub(
+                Mat.identity(RF, A.rows).scalar_mul(RF.from_poly(UniPoly.x(t))))
             assert _resolvent(A, t) == shifted.inv(), (A, t)
 
 
@@ -124,14 +123,14 @@ def test_kappa_index_bounds():
 
 def test_normal_order_plain_z_polynomial():
     # a bare 1x1 factor z^2 + 3 collapses to d^2 + 3
-    m = Mat(RFMAT, 1, 1, [RF.from_poly(UniPoly("z", [3, 0, 1]))])
+    m = Mat(RF, 1, 1, [RF.from_poly(UniPoly("z", [3, 0, 1]))])
     op = normal_order(OrderedProduct([("z", m)]), RF)
     d = DiffOp.partial(RF)
     assert op == d.mul(d).add(DiffOp(RF, [3]))
 
 
 def test_normal_order_rejects_residual_pole():
-    m = Mat(RFMAT, 1, 1, [RF.from_poly(UniPoly.x("z")).inv()])  # 1/z
+    m = Mat(RF, 1, 1, [RF.from_poly(UniPoly.x("z")).inv()])  # 1/z
     with pytest.raises(ValueError, match="residual z-denominator"):
         normal_order(OrderedProduct([("z", m)]), RF)
 
@@ -245,7 +244,7 @@ def _oracle_zrow(p, sign):
     shifted = _lift(p.Zmat.transpose(), zpoly).sub(
         Mat.identity(zpoly, p.n).scalar_mul(zpoly.gen()))
     zrow = _lift(_vbar_t(p), zpoly).mul(shifted.adjugate()).scalar_mul(zpoly.from_int(sign))
-    return zrow.map_entries(RF.from_poly, RFMAT)
+    return zrow.map_entries(RF.from_poly, RF)
 
 
 def _oracle_ideal(p):
