@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .diffop import (HYPER, DiffOp, FractionalIdeal, clearing_denominator,
 from .errors import PreconditionError, SchemaError
 from .exact import BiPoly, Mat, QQ, UniPoly, rat
 from .forge import ideal_generators
-from .lattice import codim as lattice_codim
+from .lattice import clearing_for, codim as lattice_codim
 from .szego import LocalKernel, extract_operator, gamma_skew_check, residue_action
 
 KMAX_ENV = "CM_FORGE_KMAX"
@@ -50,13 +51,36 @@ def _frac_str(c) -> str:
     return str(rat(c))
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+# Python's int-to-str digit limit, or its default where the interpreter has
+# none or it is switched off
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _parse_frac(s) -> Fraction:
-    if not isinstance(s, bool) and isinstance(s, (str, int)):
-        try:
-            return Fraction(str(s))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SchemaError("expected a rational string, got %r" % (s,))
+    """A rational from a JSON int or rational string.
+
+    Its numerator and denominator may have at most _DIGITS decimal digits,
+    as many as _frac_str can print.  A string of at most _DIGITS characters
+    without an exponent meets that bound as it stands.  A decimal exponent
+    beyond 4 * _DIGITS is rejected before the value is built: the digits of
+    one string cannot cancel that many powers of 10, so a nonzero value
+    would be rejected anyway, after 10**exponent had been computed.
+    """
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise SchemaError("expected a rational string, got %.80r" % (s,))
+    short = isinstance(s, str) and len(s) <= _DIGITS and "e" not in s and "E" not in s
+    exp = None if short or isinstance(s, int) else _EXPONENT.search(s)
+    try:
+        v = None if exp and abs(int(exp.group(1))) > 4 * _DIGITS else Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError("expected a rational string, got %.80r" % (s,)) from None
+    # n < 2**bit_length, and 2**(3 * _DIGITS) < 10**_DIGITS
+    if not short and (v is None or any(n.bit_length() > 3 * _DIGITS and n >= 10 ** _DIGITS
+                                       for n in (abs(v.numerator), v.denominator))):
+        raise SchemaError("a rational has more than %d digits in its numerator "
+                          "or denominator" % _DIGITS)
+    return v
 
 
 def _poly_json(p: UniPoly) -> list:
@@ -292,16 +316,27 @@ def _handle_codim(payload, options):
             kmax = int(os.environ[KMAX_ENV])
         except ValueError:
             raise SchemaError("%s must be an integer" % KMAX_ENV)
+    gens = [g for g in ideal.generators if not g.is_zero]
+    max_order = max(g.order() for g in gens)
     if kmax is None:
-        max_order = max(g.order() for g in ideal.generators if not g.is_zero)
         kmax = 3 * max_order + 2
     report = lattice_codim(ideal, kmax)
+    ambient = report.ambient_pivot
+    if ambient is not None:
+        # the wire reports the ambient pivot of the span cleared by
+        # den**(maxorder + 1), den the common denominator; that span is the
+        # library's (cleared by m = clearing_for(ideal).multiplier()) times
+        # the polynomial den**(maxorder + 1) / m, which scales every pivot
+        wire = clearing_denominator(gens) ** (max_order + 1)
+        ambient, rem = (ambient * wire).divmod_(clearing_for(ideal).multiplier())
+        if not rem.is_zero:
+            raise RuntimeError("the ambient pivot times den**(maxorder + 1) is not a "
+                               "multiple of the clearing multiplier")
     return {
         "kmax": kmax,
         "entries": [[k, v] for k, v in report.entries],
         "stabilized": report.stabilized,
-        "ambient_pivot": None if report.ambient_pivot is None
-        else _poly_json(report.ambient_pivot),
+        "ambient_pivot": None if ambient is None else _poly_json(ambient),
     }
 
 
@@ -441,7 +476,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int too long to read
         raise SchemaError("cannot read %s: %s" % (path, e))
 
 

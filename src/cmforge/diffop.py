@@ -404,10 +404,10 @@ def clearing_denominator(ops) -> UniPoly:
     """Least monic D(x) with c * D polynomial for every coefficient c of ops:
     the lcm of all coefficient denominators (on the torus these hold the
     x-powers too)."""
-    den = _ONE
-    for op in ops:
-        for c in op.coeffs:
-            den = den.lcm(c.den)
+    dens = {c.den for op in ops for c in op.coeffs if c.den.degree() > 0}
+    den = dens.pop() if dens else _ONE
+    for d in dens:
+        den = den.lcm(d)
     return den
 
 

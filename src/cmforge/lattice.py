@@ -1,9 +1,14 @@
 """Hermite forms and filtration lattices for operator ideals on the line and torus.
 
 Operators are compared through their coefficient rows over Q[x]: every
-generator is cleared to polynomial form by one recorded right multiplier,
-the filtration level k span is assembled as a matrix of derivative rows,
-and row-span questions (codimension, equality) reduce to Hermite forms.
+generator is cleared to polynomial form by one recorded right multiplier
+s**M (``clearing_for``: s squarefree, M read off the pole orders by a
+valuation argument; degree n**2 on forge output), the filtration level k
+span is assembled as a matrix of derivative rows, and row-span questions
+(codimension, equality) reduce to Hermite forms.  Right multiplication by a
+polynomial f is triangular on the rows with f on the diagonal, so it scales
+every Hermite pivot by f: the codimensions do not depend on the multiplier,
+and ``codim``'s ambient pivot is that of the s**M span.
 One descent (``_descend``) gives the Hermite form over Q[x] (``hnf``) and,
 on the torus, over Q[x, 1/x] (``x_saturate``), where x is a unit: there
 pivots are normalised in their row's own frame (the row over the pivot's
@@ -205,10 +210,12 @@ def _reduce(row: list, s: int, q: list, prow: list, shift: int, laurent: bool) -
 class ClearingData:
     """Right multiplier den**power clearing every generator to Q[x] rows.
 
-    For torus ideals den holds the x-powers of the coefficient denominators
-    as well; that part of the multiplier is a unit there, which leaves
-    codimensions and span comparisons unchanged as long as both sides of a
-    comparison are cleared with the same data.
+    As built by ``clearing_for``, den is the monic squarefree part of the
+    generators' common denominator and power is read off their pole orders.
+    For torus ideals den holds x as well when a denominator does; that
+    part of the multiplier is a unit there, which leaves codimensions and
+    span comparisons unchanged as long as both sides of a comparison are
+    cleared with the same data.
     """
 
     den: UniPoly
@@ -219,19 +226,40 @@ class ClearingData:
 
 
 def clearing_for(*ideals: FractionalIdeal) -> ClearingData:
-    """Common clearing for one or more ideals over the same model.
+    """Common clearing for one or more ideals over the same model: (s, M).
 
-    den is diffop.clearing_denominator over all generators, the lcm of their
-    coefficient denominators (x-powers included on the torus); power is one
-    more than the maximal generator order, which is enough because the j-th
-    derivative of den**power is still divisible by den**(power - j).
+    s is the monic squarefree part of diffop.clearing_denominator over all
+    generators (the lcm of their coefficient denominators, x-powers included
+    on the torus), and M = max_j (v_j + j) over the coefficients c_j of d^j
+    with a nonconstant denominator, v_j the least v with c_j.den | s**v
+    (M = 0 when there is none).  The coefficient of d^i in g * s**M is
+    sum_j C(j, i) c_j (s**M)^(j - i), the t-th derivative of s**M has
+    valuation at least M - t at every prime of the squarefree s, so each
+    term has valuation at least -v_j + M - (j - i) >= i >= 0 there: s**M
+    clears every generator.  It divides den**(maxorder + 1), the frame of the
+    CLI's ambient pivot; on forge output s**M = gx**n has degree n**2, and
+    den**(maxorder + 1) degree n**2 (n + 1).
     """
     if not ideals:
         raise ValueError("clearing_for needs at least one ideal")
     gens = [g for ideal in ideals for g in ideal.generators if not g.is_zero]
     if any(c.b is not None for g in gens for c in g.coeffs):
         raise ValueError("lattice clearing handles line and torus coefficients only")
-    return ClearingData(clearing_denominator(gens), max(g.order() for g in gens) + 1)
+    den = clearing_denominator(gens)
+    top: dict[UniPoly, int] = {}  # each nonconstant denominator, its highest d^j
+    for g in gens:
+        for j, c in enumerate(g.coeffs):
+            if c.den.degree() > 0 and top.get(c.den, -1) < j:
+                top[c.den] = j
+    s = den.divmod_(den.gcd(den.derivative()))[0].monic()
+    power = 0
+    for d, j in top.items():
+        v = 0
+        while d.degree() > 0:  # each step divides out one power of every prime
+            d = d.divmod_(d.gcd(s))[0]
+            v += 1
+        power = max(power, v + j)
+    return ClearingData(s, power)
 
 
 @dataclass(frozen=True)
@@ -307,7 +335,11 @@ def span_filtration(gens: FractionalIdeal, k: int,
 
 @dataclass(frozen=True)
 class CodimReport:
-    """Codimension of the span inside the ambient rank-one lattice, per level."""
+    """Codimension of the span inside the ambient rank-one lattice, per level.
+
+    ambient_pivot belongs to the span cleared by clearing_for(gens); a span
+    cleared by m * f instead has the ambient pivot ambient_pivot * f.
+    """
 
     entries: tuple
     stabilized: int | None
@@ -328,9 +360,10 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     level-k module, and a Hermite form depends only on the row module.
 
     The ambient pivot is read off as the minimal pivot of the level-kmax
-    Hermite form; each level contributes the sum of pivot degree excesses
-    over it.  On the torus degrees are Laurent degrees (degree minus
-    x-valuation), which makes the count independent of the unit clearing.
+    Hermite form of the span cleared by clearing_for(gens); each level
+    contributes the sum of pivot degree excesses over it.  On the torus
+    degrees are Laurent degrees (degree minus x-valuation), which makes the
+    count independent of the unit clearing.
     A pivot that is not a multiple of the ambient pivot means the span is
     not a sublattice of a rank-one module and is reported as an error.
     """

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from cmforge.cmspace import generic_point
+from cmforge.cmspace import CMPoint, generic_point
 from cmforge.curve import affine_line, hyperelliptic, torus
 from cmforge.exact import UniPoly
 
@@ -32,6 +32,20 @@ def hyper_points():
     pts.append(generic_point(cubic_minus_x(), [(1, 0)]))
     pts.append(generic_point(cubic_minus_x(), [(-1, 0)]))
     return pts
+
+
+def fourier(p):
+    """(X, Z, v, w) -> (Z, -X, v, w) on a line point; keeps [Z, X] - I = v w."""
+    return CMPoint(p.curve, p.n, p.Zmat, None, p.Xmat.neg(), p.vs, p.ws)
+
+
+def fourier_points():
+    """Fourier images of line points: X non-semisimple or with irrational
+    eigenvalues (char polys x^2, (x - 2)^2 and x^3 + 9/4 x)."""
+    line = affine_line()
+    return [fourier(generic_point(line, [0, 1], [1, -1])),
+            fourier(generic_point(line, [0, 1], [3, 1])),
+            fourier(generic_point(line, [0, 1, 2]))]
 
 
 def full_battery():

@@ -2,13 +2,17 @@
 
 import json
 import os
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from battery import cubic_plus_one, line_points, torus_points
+from battery import cubic_plus_one, fourier_points, line_points, torus_points
 from cmforge.cli import (JobSpec, _ideal_json, _parse_frac, _parse_ideal,
                          _parse_point, _point_json, main, run)
 from cmforge.errors import SchemaError
+from cmforge.exact import UniPoly
 from cmforge.forge import ideal_generators
 
 
@@ -136,6 +140,44 @@ def test_x_denominator_ideal_bytes(tmp_path, doc, ideal, report):
     assert main(["codim", _write(tmp_path, "i.json", doc), "--kmax", "3",
                  "-o", str(out)]) == 0
     assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+_CODIM_PINS = json.loads((Path(__file__).parent / "codim_pins.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_CODIM_PINS))
+def test_codim_bytes_pinned(tmp_path, capsys, monkeypatch, name):
+    # make-point -> forge -> codim at the default kmax, stdout against the
+    # bytes recorded when codim cleared with den**(maxorder + 1): line and
+    # torus points 0..n-1 and 1..n for n = 1..6, and the Fourier points
+    monkeypatch.delenv("CM_FORGE_KMAX", raising=False)
+    pin = _CODIM_PINS[name]
+    point = str(tmp_path / "point.json")
+    if "request" in pin:
+        assert main(["make-point", _write(tmp_path, "req.json", pin["request"]),
+                     "-o", point]) == 0
+    else:
+        point = _write(tmp_path, "point.json", pin["point"])
+    ideal = str(tmp_path / "ideal.json")
+    assert main(["forge", point, "-o", ideal]) == 0
+    assert main(["codim", ideal]) == 0
+    assert capsys.readouterr().out == pin["codim"]
+
+
+def test_codim_rescale_remainder_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a multiplier that does not divide ambient * den**(maxorder + 1) is a
+    # bug of the lattice layer: exit 3, not a precondition
+    import cmforge.cli as cli
+    from cmforge.lattice import ClearingData
+    monkeypatch.setattr(cli, "clearing_for", lambda ideal: ClearingData(UniPoly("x", [5, 1]), 1))
+    doc = _ideal_json(ideal_generators(line_points()[1]))
+    assert main(["codim", _write(tmp_path, "i.json", doc)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "internal"
+
+
+def test_codim_pins_cover_the_fourier_points():
+    pinned = [_CODIM_PINS["fourier-%d" % i]["point"] for i in range(3)]
+    assert pinned == [_point_json(p) for p in fourier_points()]
 
 
 def test_unit_conjugate_ideal_bytes():
@@ -294,6 +336,32 @@ def _line_ideal_json(coeffs):
 def test_exit_1_on_malformed_rational_data(tmp_path, capsys, command, doc, options):
     assert main([command, _write(tmp_path, "in.json", doc)] + options) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "schema"
+
+
+@pytest.mark.parametrize("value", ["1e300000", "1e-300000"])
+@pytest.mark.parametrize("command, doc", [
+    ("make-point", lambda v: {"curve": {"kind": "AffineLine"}, "points": [v, 1, 2]}),
+    ("codim", lambda v: _line_ideal_json([[["0", "1"]], [[v]]])),
+], ids=["point", "coeff"])
+def test_exit_1_on_oversized_rational(tmp_path, capsys, command, doc, value):
+    # rejected as input: the value is neither printed nor worked on
+    assert main([command, _write(tmp_path, "in.json", doc(value))]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema"
+    assert "%d digits" % sys.get_int_max_str_digits() in err["detail"]
+    assert len(err["detail"]) < 100
+
+
+def test_parse_frac_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert _parse_frac("1e%d" % (limit - 1)) == 10 ** (limit - 1)
+    assert _parse_frac("1e-%d" % (limit - 1)) == Fraction(1, 10 ** (limit - 1))
+    assert _parse_frac("0.%s1e%d" % ("0" * (limit - 1), limit)) == 1
+    assert _parse_frac("1/" + "9" * limit) == Fraction(1, 10 ** limit - 1)
+    for s in ("1e%d" % limit, "1e-%d" % limit, "1e%d" % (10 ** 12), "0e%d" % (10 ** 12),
+              "0.%s1" % ("0" * (limit - 1))):
+        with pytest.raises(SchemaError, match="digits"):
+            _parse_frac(s)
 
 
 def test_exit_1_on_unknown_command():

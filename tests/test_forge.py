@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from battery import (cubic_minus_x, cubic_plus_one, full_battery, hyper_points,
-                     line_points, torus_points)
+from battery import (cubic_minus_x, cubic_plus_one, fourier_points, full_battery,
+                     hyper_points, line_points, torus_points)
 from cmforge.cli import _ideal_json
 from cmforge.cmspace import (CMPoint, commutant_dim, generic_point, lambda_act,
                              tangent_dim, verify_relations)
@@ -282,18 +282,6 @@ def _random_gl(rng, n):
             return g
 
 
-def _fourier(p):
-    """(X, Z, v, w) -> (Z, -X, v, w) on a line point; keeps [Z, X] - I = v w."""
-    return CMPoint(p.curve, p.n, p.Zmat, None, p.Xmat.neg(), p.vs, p.ws)
-
-
-def _fourier_points():
-    line = affine_line()
-    return [_fourier(generic_point(line, [0, 1], [1, -1])),
-            _fourier(generic_point(line, [0, 1], [3, 1])),
-            _fourier(generic_point(line, [0, 1, 2]))]
-
-
 def _forge_bytes(p):
     return json.dumps(_ideal_json(ideal_generators(p)), sort_keys=True, indent=2)
 
@@ -302,7 +290,7 @@ def test_fourier_points_are_collisions():
     # non-semisimple or irrational spectra of X, unlike any generic_point
     x = UniPoly.x("x")
     want = [x * x, (x - 2) * (x - 2), -(x * x * x) - x * Fraction(9, 4)]
-    for p, gx in zip(_fourier_points(), want):
+    for p, gx in zip(fourier_points(), want):
         assert char_poly(p.Xmat, "x") == gx
 
 
@@ -314,7 +302,7 @@ def test_z_generator_matches_general_construction():
             alphas = [rng.choice([-2, -1, 1, 2]) for _ in range(n)]
             p = generic_point(c, rng.sample(range(1, 10), n), alphas)
             pts += [p, _conjugate(p, _random_gl(rng, n))]
-    pts += _fourier_points()
+    pts += fourier_points()
     pts += [lambda_act(p, r) for p in torus_points() for r in (1, -1)]
     pts += [_conjugate(p, _random_gl(rng, p.n)) for p in hyper_points()]
     for p in pts:
@@ -339,7 +327,7 @@ def test_forge_is_gauge_invariant():
 
 
 def test_fourier_collision_points():
-    for p in _fourier_points():
+    for p in fourier_points():
         n = p.n
         assert verify_relations(p).ok
         ideal = ideal_generators(p)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from battery import hyper_points, line_points, torus_points
+from battery import fourier_points, hyper_points, line_points, torus_points
 from cmforge.cmspace import OneForm, generic_point, lambda_act, omega_twist
 from cmforge.curve import TORUS, affine_line, torus
-from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY
+from cmforge.diffop import (CoeffRing, DiffOp, FractionalIdeal, POLY, clearing_denominator,
+                            coeff_ring_for)
 from cmforge.errors import PreconditionError
-from cmforge.exact import BiPoly, Mat, PolyRing, UniPoly
+from cmforge.exact import BiPoly, Mat, PolyRing, UniPoly, char_poly
 from cmforge.forge import ideal_generators
 from cmforge.lattice import (ClearingData, _cleared_ops, _d_row, _row, clearing_for,
                              codim, hnf, module_equal, span_filtration,
@@ -164,10 +165,96 @@ def test_hnf_oracle_rank_deficient_large_rationals(m):
 
 
 def test_clearing_line_n1():
+    # generators -x and -d - 1/x: v = 1 at d^0, so M = 1
     ideal = ideal_generators(line_points()[0])
     cl = clearing_for(ideal)
-    assert cl.den == X and cl.power == 2
-    assert cl.multiplier() == X * X
+    assert cl.den == X and cl.power == 1
+    assert cl.multiplier() == X
+
+
+def _ideal(curve, *ops):
+    """Generators from (numerator, denominator) pairs, d^0 first."""
+    ring = coeff_ring_for(curve)
+    return FractionalIdeal(curve, [DiffOp(ring, [ring.coeff(a, den=d) for a, d in op])
+                                   for op in ops])
+
+
+def _least_power_oracle(ideal, s):
+    # max_j (v_j + j), v_j the least v with c_j.den | s**v, by trial division
+    power = 0
+    for g in ideal.generators:
+        for j, c in enumerate(g.coeffs):
+            if c.den.degree() > 0:
+                v = 0
+                while not (s ** v).divmod_(c.den)[1].is_zero:
+                    v += 1
+                power = max(power, v + j)
+    return power
+
+
+def _clears(ideal, mult):
+    ring = ideal.generators[0].ring
+    m = DiffOp.from_coeff(ring.from_poly(mult))
+    return all(c.is_polynomial() for g in ideal.generators for c in g.mul(m).coeffs)
+
+
+_X1 = X - ONE
+# (curve, generators, s, M); in each case s**(M - 1) leaves a pole
+_POLE_IDEALS = [
+    # x^-1 d^3 + d: the d^0 coefficient of g x^3 is 6/x + 3x^2
+    (affine_line(), [[(ZERO, ONE), (ONE, ONE), (ZERO, ONE), (ONE, X)]], X, 4),
+    # x^-2 d^2 + 1
+    (affine_line(), [[(ONE, ONE), (ZERO, ONE), (ONE, X * X)]], X, 4),
+    (torus(), [[(ONE, ONE), (ZERO, ONE), (ONE, X * X)]], X, 4),
+    # x^-1 d^3 + d and (x - 1)^-3: the pole of order 3 at d^0 sets v = 3
+    (affine_line(), [[(ZERO, ONE), (ONE, ONE), (ZERO, ONE), (ONE, X)],
+                     [(ONE, _X1 ** 3)]], X * _X1, 4),
+    # (x - 1)^-2 + x^-2 (x - 1)^-1 d, and x^2
+    (torus(), [[(ONE, _X1 * _X1), (ONE, X * X * _X1)], [(X * X, ONE)]], X * _X1, 3),
+]
+
+
+@pytest.mark.parametrize("curve, ops, s, power", _POLE_IDEALS,
+                         ids=["x-1d3+d", "x-2d2+1-line", "x-2d2+1-torus",
+                              "two-poles", "torus-mixed"])
+def test_clearing_high_order_pole(curve, ops, s, power):
+    ideal = _ideal(curve, *ops)
+    cl = clearing_for(ideal)
+    assert (cl.den, cl.power) == (s, power)
+    assert power == _least_power_oracle(ideal, s)
+    for op in _cleared_ops(ideal, cl):
+        assert all(c.is_polynomial() for c in op.coeffs), op
+    assert not _clears(ideal, s ** (power - 1))
+
+
+def test_clearing_fourier_point_needs_more_than_den():
+    # the common denominator x alone leaves (2 + 2x)/x in d^0 of the
+    # order-2 generator; s = x, M = 2 clears it
+    ideal = ideal_generators(fourier_points()[0])
+    ring = ideal.generators[0].ring
+    naive = DiffOp.from_coeff(ring.from_poly(clearing_denominator(ideal.generators)))
+    left = [c for g in ideal.generators for c in g.mul(naive).coeffs
+            if not c.is_polynomial()]
+    assert left == [ring.coeff(X * 2 + 2, den=X)]
+    cl = clearing_for(ideal)
+    assert (cl.den, cl.power) == (X, 2)
+    for op in _cleared_ops(ideal, cl):
+        assert all(c.is_polynomial() for c in op.coeffs), op
+
+
+def _ladder_points():
+    """Line and torus points of ranks 1-4."""
+    return [generic_point(c, xs[:n])
+            for c, xs in ((affine_line(), [0, 1, 3, -2]), (torus(), [1, 2, -3, 5]))
+            for n in range(1, 5)]
+
+
+def test_clearing_multiplier_degree_is_n_squared():
+    # forge output has common denominator gx^n; the multiplier is gx^n
+    for p in _ladder_points():
+        cl = clearing_for(ideal_generators(p))
+        assert cl.den == char_poly(p.Xmat, "x").monic()
+        assert cl.multiplier().degree() == p.n * p.n
 
 
 def test_clearing_common_across_ideals():
@@ -303,6 +390,30 @@ def test_codim_per_level_oracle():
             rep = codim(gens, kmax)
             assert (rep.entries, rep.stabilized, rep.ambient_pivot) == \
                 _codim_per_level_oracle(gens, kmax)
+
+
+def _fitting_product(gens, kmax):
+    # prod (pivot_i / ambient) over the level-kmax Hermite pivots, each
+    # division exact; on the torus the x-power, a unit there, is dropped
+    laurent = gens.curve.kind == TORUS
+    pivots = [next(e for e in r if not e.is_zero)
+              for r in _nonzero_rows(hnf(span_filtration(gens, kmax).rows)[0])]
+    assert len(pivots) == kmax + 1
+    ambient = min(pivots, key=lambda p: p.degree() - (p.x_valuation() if laurent else 0))
+    prod = ONE
+    for p in pivots:
+        q, rem = p.divmod_(ambient)
+        assert rem.is_zero
+        prod = prod * q
+    return prod.div_xk(prod.x_valuation()) if laurent else prod
+
+
+def test_fitting_identity():
+    # at stabilisation the quotient ambient_k / span_k is Q^n with x acting
+    # as X, so its Fitting ideal is generated by the monic char_poly(X)
+    for p in _ladder_points() + fourier_points():
+        assert _fitting_product(ideal_generators(p), 2 * p.n + 6) == \
+            char_poly(p.Xmat, "x").monic(), p
 
 
 def test_x_saturate_divides_out_content():
