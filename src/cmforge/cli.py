@@ -3,7 +3,9 @@
 JSON in, JSON out: subcommands wire the curve/point/forge/lattice/szego
 layers together and emit deterministic reports (sorted keys, rationals as
 "p/q" strings, atomic file writes).  Exit codes: 0 success, 1 schema
-violation, 2 precondition failure, 3 internal error.
+violation (usage errors included), 2 precondition failure, 3 internal error;
+errors go to stderr as JSON.  Each subcommand is declared once, in
+``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import random
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -30,17 +31,6 @@ from .exact import BiPoly, Mat, QQ, UniPoly, rat
 from .forge import ideal_generators
 from .lattice import clearing_for, codim as lattice_codim
 from .szego import LocalKernel, extract_operator, gamma_skew_check, residue_action
-
-KMAX_ENV = "CM_FORGE_KMAX"
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    options: dict = field(default_factory=dict)
-
 
 # ---------------------------------------------------------------------------
 # JSON codecs
@@ -266,17 +256,7 @@ def _verify_json(report) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _opt_int(options, key, default):
-    raw = options.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("option %s must be an integer, got %r" % (key, raw))
-
-
-def _handle_make_point(payload, options):
+def _handle_make_point(payload, ns):
     if not isinstance(payload, dict):
         raise SchemaError("expected an object with 'curve' and 'points'")
     c = _parse_curve(payload.get("curve"))
@@ -294,11 +274,11 @@ def _handle_make_point(payload, options):
     return _point_json(generic_point(c, pts, alphas))
 
 
-def _handle_verify(payload, options):
+def _handle_verify(payload, ns):
     return _verify_json(verify_relations(_parse_point(payload)))
 
 
-def _handle_forge(payload, options):
+def _handle_forge(payload, ns):
     p = _parse_point(payload)
     out = ideal_generators(p)
     if not isinstance(out, FractionalIdeal):
@@ -308,18 +288,11 @@ def _handle_forge(payload, options):
     return _ideal_json(out)
 
 
-def _handle_codim(payload, options):
+def _handle_codim(payload, ns):
     ideal = _parse_ideal(payload)
-    kmax = _opt_int(options, "kmax", None)
-    if kmax is None and os.environ.get(KMAX_ENV):
-        try:
-            kmax = int(os.environ[KMAX_ENV])
-        except ValueError:
-            raise SchemaError("%s must be an integer" % KMAX_ENV)
     gens = [g for g in ideal.generators if not g.is_zero]
     max_order = max(g.order() for g in gens)
-    if kmax is None:
-        kmax = 3 * max_order + 2
+    kmax = 3 * max_order + 2 if ns.kmax is None else ns.kmax
     report = lattice_codim(ideal, kmax)
     ambient = report.ambient_pivot
     if ambient is not None:
@@ -340,10 +313,9 @@ def _handle_codim(payload, options):
     }
 
 
-def _handle_act(payload, options):
+def _handle_act(payload, ns):
     p = _parse_point(payload)
-    unit_power = options.get("unit_power")
-    omega = options.get("omega")
+    unit_power, omega = ns.unit_power, ns.omega
     if (unit_power is None) == (omega is None):
         raise SchemaError("act needs exactly one of --unit-power or --omega")
     if unit_power is not None:
@@ -358,11 +330,11 @@ def _handle_act(payload, options):
         raise
     except Exception as e:
         raise SchemaError("bad --omega coefficient: %s" % (e,))
-    form = OneForm(p.curve, g, _opt_int(options, "x_shift", 0))
+    form = OneForm(p.curve, g, ns.x_shift)
     return _point_json(omega_twist(p, form))
 
 
-def _handle_commutant(payload, options):
+def _handle_commutant(payload, ns):
     d = commutant_dim(_parse_point(payload))
     return {"commutant_dim": d, "simple": d == 1}
 
@@ -377,9 +349,8 @@ def _random_module(rng, nmax=3) -> BModule:
     return BModule(n, k, rmat(n, n), None, rmat(n, n), rmat(n, k), rmat(k, n))
 
 
-def _handle_euler(payload, options):
-    seed = _opt_int(options, "seed", 0)
-    trials = _opt_int(options, "trials", 100)
+def _handle_euler(payload, ns):
+    seed, trials = ns.seed, ns.trials
     rng = random.Random(seed)
     mismatches = []
     for t in range(trials):
@@ -392,7 +363,7 @@ def _handle_euler(payload, options):
             "mismatches": mismatches}
 
 
-def _handle_tangent(payload, options):
+def _handle_tangent(payload, ns):
     p = _parse_point(payload)
     d = tangent_dim(p)
     expected = p.n * p.n + 2 * p.n
@@ -407,9 +378,8 @@ def _random_kernel(rng, degmax=5) -> LocalKernel:
     return LocalKernel(BiPoly(terms), 2)
 
 
-def _handle_szego_demo(payload, options):
-    seed = _opt_int(options, "seed", 0)
-    trials = _opt_int(options, "trials", 100)
+def _handle_szego_demo(payload, ns):
+    seed, trials = ns.seed, ns.trials
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(trials):
@@ -430,20 +400,28 @@ def _handle_szego_demo(payload, options):
             "pass": mismatches == 0 and all(gamma.values())}
 
 
-_HANDLERS = {
-    "make-point": _handle_make_point,
-    "verify": _handle_verify,
-    "forge": _handle_forge,
-    "codim": _handle_codim,
-    "act": _handle_act,
-    "commutant": _handle_commutant,
-    "euler": _handle_euler,
-    "tangent": _handle_tangent,
-    "szego-demo": _handle_szego_demo,
-}
+_SEED_TRIALS = ((("--seed",), {"type": int, "default": 0}),
+                (("--trials",), {"type": int, "default": 100}))
 
-_NEEDS_INPUT = {"make-point", "verify", "forge", "codim", "act",
-                "commutant", "tangent"}
+# (name, handler, help, takes an input file, extra arguments)
+_COMMANDS = (
+    ("make-point", _handle_make_point, "build a rank-n point from curve points", True, ()),
+    ("verify", _handle_verify, "check the defining relations at a point", True, ()),
+    ("forge", _handle_forge, "emit fractional-ideal generators for a verified point", True, ()),
+    ("codim", _handle_codim, "filtration codimension profile of an ideal", True,
+     ((("--kmax",), {"type": int, "help": "top filtration level"}),)),
+    ("act", _handle_act, "apply a symmetry action to a point", True,
+     ((("--unit-power",), {"help": "rational r for Z -> Z + r X^-1"}),
+      (("--omega",), {"help": "one-form coefficient as JSON [[r,s,\"c\"],...]"}),
+      (("--x-shift",), {"type": int, "default": 0,
+                        "help": "Laurent x-power on the coefficient"}))),
+    ("commutant", _handle_commutant, "dimension of the commutant at a point", True, ()),
+    ("euler", _handle_euler, "random check hom - ext1 = euler on module pairs", False,
+     _SEED_TRIALS),
+    ("tangent", _handle_tangent, "linearized-relation solution dimension at a point", True, ()),
+    ("szego-demo", _handle_szego_demo,
+     "random kernel extraction and coordinate-change checks", False, _SEED_TRIALS),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +458,38 @@ def _load_json(path: str):
         raise SchemaError("cannot read %s: %s" % (path, e))
 
 
-def run(spec: JobSpec) -> int:
-    handler = _HANDLERS.get(spec.command)
-    if handler is None:
-        _emit_error({"error": "schema", "detail": "unknown command %r" % spec.command})
-        return 1
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are schema errors (exit 1);
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise SchemaError("%s: %s" % (self.prog, message))
+
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parse_args keeps no state between calls)."""
+    parser = _Parser(
+        prog="cmforge",
+        description="Exact computations on Calogero-Moser spaces over curves")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, needs_input, extra in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        if needs_input:
+            sp.add_argument("input", help="input JSON file")
+        sp.add_argument("-o", "--output", help="output JSON file (default stdout)")
+        for args, kwargs in extra:
+            sp.add_argument(*args, **kwargs)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        payload = None
-        if spec.command in _NEEDS_INPUT:
-            if spec.input_path is None:
-                raise SchemaError("command %s needs an input file" % spec.command)
-            payload = _load_json(spec.input_path)
-        result = handler(payload, spec.options)
+        ns = _build_parser().parse_args(argv)
+        payload = _load_json(ns.input) if "input" in ns else None
+        result = ns.handler(payload, ns)
     except SchemaError as e:
         _emit_error({"error": "schema", "detail": str(e)})
         return 1
@@ -507,58 +505,8 @@ def run(spec: JobSpec) -> int:
     except Exception as e:
         _emit_error({"error": "internal", "detail": "%s: %s" % (type(e).__name__, e)})
         return 3
-    _write_json(result, spec.output_path)
+    _write_json(result, ns.output)
     return 0
-
-
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls
-    (parse_args keeps no state between calls)."""
-    parser = argparse.ArgumentParser(
-        prog="cmforge",
-        description="Exact computations on Calogero-Moser spaces over curves")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, needs_input=True, extra=()):
-        sp = sub.add_parser(name, help=help_text)
-        if needs_input:
-            sp.add_argument("input", help="input JSON file")
-        sp.add_argument("-o", "--output", help="output JSON file (default stdout)")
-        for args, kwargs in extra:
-            sp.add_argument(*args, **kwargs)
-        return sp
-
-    add("make-point", "build a rank-n point from curve points")
-    add("verify", "check the defining relations at a point")
-    add("forge", "emit fractional-ideal generators for a verified point")
-    add("codim", "filtration codimension profile of an ideal",
-        extra=((("--kmax",), {"type": int, "help": "top filtration level"}),))
-    add("act", "apply a symmetry action to a point",
-        extra=((("--unit-power",), {"help": "rational r for Z -> Z + r X^-1"}),
-               (("--omega",), {"help": "one-form coefficient as JSON [[r,s,\"c\"],...]"}),
-               (("--x-shift",), {"type": int, "help": "Laurent x-power on the coefficient"})))
-    add("commutant", "dimension of the commutant at a point")
-    add("euler", "random check hom - ext1 = euler on module pairs",
-        needs_input=False,
-        extra=((("--seed",), {"type": int, "default": 0}),
-               (("--trials",), {"type": int, "default": 100})))
-    add("tangent", "linearized-relation solution dimension at a point")
-    add("szego-demo", "random kernel extraction and coordinate-change checks",
-        needs_input=False,
-        extra=((("--seed",), {"type": int, "default": 0}),
-               (("--trials",), {"type": int, "default": 100})))
-    return parser
-
-
-def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
-    options = {}
-    for key, value in vars(ns).items():
-        if key in ("command", "input", "output") or value is None:
-            continue
-        options[key] = str(value)
-    return run(JobSpec(ns.command, getattr(ns, "input", None), ns.output, options))
 
 
 if __name__ == "__main__":

@@ -111,20 +111,17 @@ def hyperelliptic(P: UniPoly) -> CurveModel:
 
 
 class DerivationData:
-    """Images of the distinguished derivation on the ring generators, plus the
-    commutators [z, x] and [z, y] as formal words.
+    """The commutators [z, x] and [z, y] of the distinguished derivation z
+    with the ring generators, as formal words.
 
-    partial_x / partial_y are BiPoly values in (x, y); partial_y is None when
-    the coordinate ring has a single generator.  Each commutator is a list of
-    (coefficient, word) pairs, a word being a tuple over the alphabet
-    {"x", "y", "D"} with "D" the distinguished loop element.
+    Each commutator is a list of (coefficient, word) pairs, a word being a
+    tuple over the alphabet {"x", "y", "D"} with "D" the distinguished loop
+    element; zy_words is None when the coordinate ring has a single generator.
     """
 
-    __slots__ = ("partial_x", "partial_y", "zx_words", "zy_words")
+    __slots__ = ("zx_words", "zy_words")
 
-    def __init__(self, partial_x, partial_y, zx_words, zy_words):
-        object.__setattr__(self, "partial_x", partial_x)
-        object.__setattr__(self, "partial_y", partial_y)
+    def __init__(self, zx_words, zy_words):
         object.__setattr__(self, "zx_words", tuple(zx_words))
         object.__setattr__(self, "zy_words", tuple(zy_words) if zy_words is not None else None)
 
@@ -143,18 +140,15 @@ def derivation_data(c: CurveModel) -> DerivationData:
     [z,y] = sum_s a_s sum_{l<s} x^(s-l-1) D x^l.
     """
     if c.kind in (AFFINE_LINE, TORUS):
-        return DerivationData(BiPoly.const(1), None, [(Fraction(1), ("D",))], None)
-    F = c.F
-    px = F.partial_y()
-    py = -F.partial_x()
+        return DerivationData([(Fraction(1), ("D",))], None)
     zx = []
     zy = []
-    for (r, s), a in F.items_sorted():
+    for (r, s), a in c.F.items_sorted():
         for k in range(s):
             zx.append((a, ("y",) * (s - k - 1) + ("D",) + ("y",) * k + ("x",) * r))
         for l in range(r):
             zy.append((-a, ("y",) * s + ("x",) * (r - l - 1) + ("D",) + ("x",) * l))
-    return DerivationData(px, py, zx, zy)
+    return DerivationData(zx, zy)
 
 
 class NuKernel:
@@ -167,12 +161,11 @@ class NuKernel:
     outer and inner x, "y" likewise.  The loop element always maps to 1.
     """
 
-    __slots__ = ("terms", "denom_factors", "delta_value")
+    __slots__ = ("terms", "denom_factors")
 
     def __init__(self, terms, denom_factors):
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "denom_factors", tuple(denom_factors))
-        object.__setattr__(self, "delta_value", Fraction(1))
 
     def __setattr__(self, name, value):
         raise AttributeError("NuKernel is immutable")

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from battery import cubic_plus_one, fourier_points, line_points, torus_points
-from cmforge.cli import (JobSpec, _ideal_json, _parse_frac, _parse_ideal,
-                         _parse_point, _point_json, main, run)
+from cmforge.cli import _ideal_json, _parse_frac, _parse_ideal, _parse_point, _point_json, main
 from cmforge.errors import SchemaError
 from cmforge.exact import UniPoly
 from cmforge.forge import ideal_generators
@@ -146,11 +145,10 @@ _CODIM_PINS = json.loads((Path(__file__).parent / "codim_pins.json").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(_CODIM_PINS))
-def test_codim_bytes_pinned(tmp_path, capsys, monkeypatch, name):
+def test_codim_bytes_pinned(tmp_path, capsys, name):
     # make-point -> forge -> codim at the default kmax, stdout against the
     # bytes recorded when codim cleared with den**(maxorder + 1): line and
     # torus points 0..n-1 and 1..n for n = 1..6, and the Fourier points
-    monkeypatch.delenv("CM_FORGE_KMAX", raising=False)
     pin = _CODIM_PINS[name]
     point = str(tmp_path / "point.json")
     if "request" in pin:
@@ -364,12 +362,30 @@ def test_parse_frac_digit_limit():
             _parse_frac(s)
 
 
-def test_exit_1_on_unknown_command():
-    assert run(JobSpec("bogus")) == 1
+def _usage_error(capsys, argv):
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
-def test_missing_input_is_schema_error():
-    assert run(JobSpec("verify")) == 1
+def test_exit_1_on_unknown_command(capsys):
+    _usage_error(capsys, ["bogus"])
+    _usage_error(capsys, [])
+
+
+def test_missing_input_is_schema_error(tmp_path, capsys):
+    _usage_error(capsys, ["verify"])
+    _usage_error(capsys, ["codim"])
+    # an option that argparse cannot convert, or does not know, is a usage error too
+    ideal = _write(tmp_path, "i.json", _ideal_json(ideal_generators(line_points()[1])))
+    _usage_error(capsys, ["codim", ideal, "--kmax", "abc"])
+    _usage_error(capsys, ["codim", ideal, "--seed", "1"])
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["codim", "--help"])
+    assert e.value.code == 0
+    assert "--kmax" in capsys.readouterr().out
 
 
 # -- determinism and environment ----------------------------------------------
@@ -388,21 +404,6 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["pass"] is True
     assert out.endswith("\n")
-
-
-def test_kmax_env_override(tmp_path, monkeypatch):
-    pt = _write(tmp_path, "p.json", _line_point_json())
-    ideal = str(tmp_path / "ideal.json")
-    assert main(["forge", pt, "-o", ideal]) == 0
-    out = str(tmp_path / "c.json")
-    monkeypatch.setenv("CM_FORGE_KMAX", "4")
-    assert main(["codim", ideal, "-o", out]) == 0
-    assert json.loads(open(out).read())["kmax"] == 4
-    # explicit flag beats the environment
-    assert main(["codim", ideal, "-o", out, "--kmax", "6"]) == 0
-    assert json.loads(open(out).read())["kmax"] == 6
-    monkeypatch.setenv("CM_FORGE_KMAX", "not-a-number")
-    assert main(["codim", ideal, "-o", out]) == 1
 
 
 def test_default_kmax_from_order(tmp_path):

@@ -61,8 +61,6 @@ def test_constant_f_rejected():
 
 def test_derivation_line():
     d = derivation_data(affine_line())
-    assert d.partial_x == BiPoly.const(1)
-    assert d.partial_y is None
     assert d.zx_words == ((Fraction(1), ("D",)),)
     assert d.zy_words is None
 
@@ -70,8 +68,6 @@ def test_derivation_line():
 def test_derivation_hyper():
     # z(x) = F'_y = 2y, z(y) = -F'_x = 3x^2 on y^2 = x^3 + 1
     d = derivation_data(_hyper_cubic())
-    assert d.partial_x == BiPoly({(0, 1): Fraction(2)})
-    assert d.partial_y == BiPoly({(2, 0): Fraction(3)})
     assert set(d.zx_words) == {(Fraction(1), ("y", "D")), (Fraction(1), ("D", "y"))}
     assert set(d.zy_words) == {
         (Fraction(1), ("x", "x", "D")),
@@ -85,7 +81,6 @@ def test_nu_kernel_line_and_torus():
         nu = nu_kernel(c)
         assert nu.terms == ((Fraction(1), (0, 0), (0, 0)),)
         assert nu.denom_factors == ("x",)
-        assert nu.delta_value == 1
 
 
 def test_nu_kernel_hyper():

@@ -242,11 +242,12 @@ def test_clearing_fourier_point_needs_more_than_den():
         assert all(c.is_polynomial() for c in op.coeffs), op
 
 
+_LADDER_XS = ((affine_line(), [0, 1, 3, -2]), (torus(), [1, 2, -3, 5]))
+
+
 def _ladder_points():
     """Line and torus points of ranks 1-4."""
-    return [generic_point(c, xs[:n])
-            for c, xs in ((affine_line(), [0, 1, 3, -2]), (torus(), [1, 2, -3, 5]))
-            for n in range(1, 5)]
+    return [generic_point(c, xs[:n]) for c, xs in _LADDER_XS for n in range(1, 5)]
 
 
 def test_clearing_multiplier_degree_is_n_squared():
@@ -414,6 +415,25 @@ def test_fitting_identity():
     for p in _ladder_points() + fourier_points():
         assert _fitting_product(ideal_generators(p), 2 * p.n + 6) == \
             char_poly(p.Xmat, "x").monic(), p
+
+
+def test_order0_pivot_is_gx_times_multiplier():
+    # neither codim nor the Fitting identity sees forge's order-0 generator
+    # gx = prod (x - x_i); the last Hermite row of the span does: it is the
+    # order-0 part, its pivot gx * s**M (x-powers, units on the torus, dropped)
+    for c, xs in _LADDER_XS:
+        for n in range(1, 5):
+            p = generic_point(c, xs[:n])
+            gens = ideal_generators(p)
+            h, r = hnf(span_filtration(gens, 2 * n + 6).rows)
+            *above, pivot = h.row(r - 1)
+            assert all(e.is_zero for e in above), p
+            want = clearing_for(gens).multiplier()
+            for xi in xs[:n]:
+                want = want * (X - xi)
+            if c.kind == TORUS:
+                pivot, want = (f.div_xk(f.x_valuation()) for f in (pivot, want))
+            assert pivot == want, p
 
 
 def test_x_saturate_divides_out_content():
