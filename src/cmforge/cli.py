@@ -24,8 +24,7 @@ from . import curve as curvemod
 from .cmspace import (BModule, CMPoint, OneForm, commutant_dim, euler_char,
                       ext1_dim, generic_point, hom_dim, lambda_act,
                       omega_twist, tangent_dim, verify_relations)
-from .diffop import (HYPER, DiffOp, FractionalIdeal, clearing_denominator,
-                     coeff_ring_for)
+from .diffop import DiffOp, FractionalIdeal, clearing_denominator, coeff_ring_for
 from .errors import PreconditionError, SchemaError
 from .exact import BiPoly, Mat, QQ, UniPoly, rat
 from .forge import ideal_generators
@@ -228,11 +227,9 @@ def _parse_ideal(d) -> FractionalIdeal:
             a = _parse_poly(entry[0])
             b = None
             if len(entry) == 2:
-                if ring.kind != HYPER:
+                if ring.P is None:
                     raise SchemaError("two-component coefficients need a hyperelliptic model")
                 b = _parse_poly(entry[1])
-            elif ring.kind == HYPER:
-                b = UniPoly("x", [])
             coeffs.append(ring.coeff(a, b, D))
         gens.append(DiffOp(ring, coeffs))
     try:
@@ -434,15 +431,17 @@ def _write_json(obj, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise SchemaError("cannot write %s: %s" % (path, e.strerror or e)) from None
         raise
 
 
@@ -489,7 +488,7 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         payload = _load_json(ns.input) if "input" in ns else None
-        result = ns.handler(payload, ns)
+        _write_json(ns.handler(payload, ns), ns.output)
     except SchemaError as e:
         _emit_error({"error": "schema", "detail": str(e)})
         return 1
@@ -505,7 +504,6 @@ def main(argv=None) -> int:
     except Exception as e:
         _emit_error({"error": "internal", "detail": "%s: %s" % (type(e).__name__, e)})
         return 3
-    _write_json(result, ns.output)
     return 0
 
 

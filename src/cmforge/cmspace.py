@@ -509,12 +509,19 @@ def lambda_act(p: CMPoint, r) -> CMPoint:
     """Torus symmetry with parameter r: Z -> Z + r X^{-1}.
 
     Matches the twist by the logarithmic form of x^r; defined on the torus
-    only, where X is invertible.
+    only, at points where X is invertible.
     """
     if p.curve.kind != curvemod.TORUS:
         raise ValueError("the one-parameter action is defined on the torus only")
     r = rat(r)
-    return p.with_z(p.Zmat.add(p.Xmat.inv().scalar_mul(r)))
+    return p.with_z(p.Zmat.add(_x_inverse(p).scalar_mul(r)))
+
+
+def _x_inverse(p: CMPoint) -> Mat:
+    try:
+        return p.Xmat.inv()
+    except ZeroDivisionError:
+        raise PreconditionError("X is singular: the point is not x-invertible") from None
 
 
 def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
@@ -524,7 +531,7 @@ def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
     G = bipoly_apply(form.coefficient, p.Xmat, p.Ymat)
     if form.x_shift:
         k = form.x_shift
-        step = p.Xmat if k > 0 else p.Xmat.inv()
+        step = p.Xmat if k > 0 else _x_inverse(p)
         for _ in range(abs(k)):
             G = G.mul(step)
     return p.with_z(p.Zmat.add(G))

@@ -21,33 +21,20 @@ from fractions import Fraction
 from .exact import UniPoly, rat
 from . import curve as curvemod
 
-POLY = "poly"
-LAURENT = "laurent"
-HYPER = "hyper"
-
-
 class CoeffRing:
-    """Descriptor of the operator coefficient ring.
+    """The curve's coefficient field, as a Mat ring.
 
-    poly:    Q[x]                      (affine line)
-    laurent: Q[x, 1/x]                 (torus)
-    hyper:   Q[x, y] / (y^2 - P(x))    (hyperelliptic, elements a(x) + b(x) y)
-
-    each with any monic denominator in x allowed, so every ring is a field:
-    Q(x) on the line and the torus, and on the hyperelliptic curve too,
+    CoeffRing() is Q(x), for the line and the torus; CoeffRing(P) is
+    Q(x)[y] / (y^2 - P(x)), elements (a(x) + b(x) y) / den(x), a field too
     because P is squarefree and nonconstant, so the norm a^2 - b^2 P only
-    vanishes at 0.  As a Mat ring it supplies the constants and division.
+    vanishes at 0.  The model derivation z is d/dx on Q(x); on the
+    hyperelliptic ring z(x) = 2y and z(y) = P'(x), so z(y^2 - P) = 0.
     """
 
-    __slots__ = ("kind", "P")
+    __slots__ = ("P",)
     is_field = True
 
-    def __init__(self, kind: str, P: UniPoly | None = None):
-        if kind not in (POLY, LAURENT, HYPER):
-            raise ValueError("unknown coefficient ring kind: %r" % (kind,))
-        if (kind == HYPER) != (P is not None):
-            raise ValueError("P is required exactly for the hyperelliptic ring")
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, P: UniPoly | None = None):
         object.__setattr__(self, "P", P)
 
     def __setattr__(self, name, value):
@@ -56,10 +43,10 @@ class CoeffRing:
     def __eq__(self, other):
         if not isinstance(other, CoeffRing):
             return NotImplemented
-        return self.kind == other.kind and self.P == other.P
+        return self.P == other.P
 
     def __hash__(self):
-        return hash((self.kind, self.P))
+        return hash(self.P)
 
     # element constructors -------------------------------------------------
 
@@ -76,9 +63,6 @@ class CoeffRing:
     def from_frac(self, c) -> "Coeff":
         return self.coeff(UniPoly.const("x", rat(c)))
 
-    def from_int(self, n: int) -> "Coeff":
-        return self.from_frac(n)
-
     def from_poly(self, p: UniPoly) -> "Coeff":
         return self.coeff(p)
 
@@ -86,9 +70,23 @@ class CoeffRing:
         return self.coeff(UniPoly.x("x"))
 
     def y(self) -> "Coeff":
-        if self.kind != HYPER:
+        if self.P is None:
             raise ValueError("y exists only in the hyperelliptic ring")
         return self.coeff(UniPoly("x", []), UniPoly.const("x", 1))
+
+    # the model derivation ---------------------------------------------------
+
+    def derivation(self, a: UniPoly, b: UniPoly | None):
+        """z(a + b y) and (a + b y) * z(x), each as a pair (a-part, y-part).
+
+        The quotient rule takes both: z(N / g) = (z(N) g - g' N z(x)) / g^2
+        for a polynomial g in x, since z(g) = g' z(x).
+        """
+        P = self.P
+        if P is None:
+            return (a.derivative(), None), (a, None)
+        return ((b.derivative() * P * 2 + b * P.derivative(), a.derivative() * 2),
+                (b * P * 2, a * 2))
 
     # division for Mat ------------------------------------------------------
 
@@ -99,20 +97,15 @@ class CoeffRing:
         return a * b.inv()
 
     def __repr__(self):
-        tag = {POLY: "Q[x]", LAURENT: "Q[x,1/x]", HYPER: "Q[x,y]/(y^2-P)"}[self.kind]
-        return "CoeffRing(%s)" % tag
+        return "CoeffRing()" if self.P is None else "CoeffRing(%r)" % (self.P,)
 
 
 def coeff_ring_for(c: "curvemod.CurveModel") -> CoeffRing:
     """Operator coefficient ring attached to a curve model."""
-    if c.kind == curvemod.AFFINE_LINE:
-        return CoeffRing(POLY)
-    if c.kind == curvemod.TORUS:
-        return CoeffRing(LAURENT)
-    if c.is_hyperelliptic:
-        return CoeffRing(HYPER, c.hyperelliptic_P)
-    raise ValueError("full operator arithmetic supports the line, the torus, "
-                     "and hyperelliptic curves only")
+    if c.has_y and not c.is_hyperelliptic:
+        raise ValueError("full operator arithmetic supports the line, the torus, "
+                         "and hyperelliptic curves only")
+    return CoeffRing(c.hyperelliptic_P)
 
 
 _ZERO = UniPoly("x", [])
@@ -132,13 +125,12 @@ class Coeff:
                  den: UniPoly | None = None):
         if den is None:
             den = _ONE
-        if ring.kind == HYPER:
-            if b is None:
-                b = _ZERO
-        elif b is not None and not b.is_zero:
-            raise ValueError("y component outside the hyperelliptic ring")
-        else:
+        if ring.P is None:
+            if b is not None and not b.is_zero:
+                raise ValueError("y component outside the hyperelliptic ring")
             b = None
+        elif b is None:
+            b = _ZERO
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         a, b, den = _normalize(a, b, den)
@@ -222,17 +214,11 @@ class Coeff:
 
     def derive(self) -> "Coeff":
         """Image under the model derivation (d/dx, or the hyperelliptic one)."""
-        ring = self.ring
-        if ring.kind == HYPER:
-            P = ring.P
-            a, b, d = self.a, self.b, self.den
-            # derivation z with z(x) = 2y, z(y) = P'(x), so z(F) = 0:
-            #   z(a + b y) = (2 b' P + b P') + (2 a') y,  z(d) = 2 d' y
-            num_a = (b.derivative() * P * 2 + b * P.derivative()) * d - (b * d.derivative() * 2) * P
-            num_b = (a.derivative() * 2) * d - (a * d.derivative() * 2)
-            return Coeff(ring, num_a, num_b, d * d)
-        n, d = self.a, self.den
-        return Coeff(ring, n.derivative() * d - n * d.derivative(), None, d * d)
+        (za, zb), (wa, wb) = self.ring.derivation(self.a, self.b)
+        d = self.den
+        dd = d.derivative()
+        return Coeff(self.ring, za * d - wa * dd,
+                     None if zb is None else zb * d - wb * dd, d * d)
 
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0

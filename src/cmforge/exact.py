@@ -546,9 +546,6 @@ class PolyRing:
     def gen(self):
         return UniPoly.x(self.var)
 
-    def from_int(self, n: int):
-        return UniPoly.const(self.var, n)
-
     def from_frac(self, c):
         return UniPoly.const(self.var, rat(c))
 

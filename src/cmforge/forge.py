@@ -33,12 +33,11 @@ from .exact import Mat, QQ, UniPoly, char_poly, bipoly_apply
 from .errors import PreconditionError
 from . import curve as curvemod
 from .cmspace import CMPoint, verify_relations
-from .diffop import (HYPER, POLY, Coeff, CoeffRing, DiffOp, FractionalIdeal,
-                     coeff_ring_for)
+from .diffop import Coeff, CoeffRing, DiffOp, FractionalIdeal, coeff_ring_for
 
 _SYMBOLS = (None, "x", "y", "z")
 # entries of the x-, y- and z-factors: rational functions of one variable
-_RF = CoeffRing(POLY)
+_RF = CoeffRing()
 
 
 class OrderedProduct:
@@ -241,7 +240,7 @@ def kappa(p: CMPoint, i: int = 0) -> KappaElement:
     if p.n == 0:
         return KappaElement(p.curve, i, 1, ())
     zfac = _lift(_vbar_t(p), _RF).mul(_resolvent(p.Zmat.transpose(), "z"))
-    zfac = zfac.scalar_mul(_RF.from_int(_kappa_sign(p.curve)))
+    zfac = zfac.scalar_mul(_RF.from_frac(_kappa_sign(p.curve)))
     return KappaElement(p.curve, i, 1,
                         (OrderedProduct(_correction_factors(p, i, zfac)),))
 
@@ -256,15 +255,11 @@ def _coeff_in(rf: Coeff, ring: CoeffRing, sym: str) -> Coeff:
     if sym == "x":
         return Coeff(ring, rf.a, None, rf.den)
     if sym == "y":
-        if ring.kind != HYPER:
+        if ring.P is None:
             raise ValueError("y-dependent factor needs the hyperelliptic ring")
         if rf.den.degree() > 0:
             raise ValueError("rational y-dependence cannot be normal-ordered")
-        if rf.a.degree() > 1:
-            raise ValueError("y-degree exceeds 1; reduce by the curve equation first")
-        a = UniPoly.const("x", rf.a.coeff(0))
-        b = UniPoly.const("x", rf.a.coeff(1))
-        return Coeff(ring, a, b)
+        return _ypoly_to_coeff(rf.a, ring)
     raise ValueError("unsupported factor symbol %r" % (sym,))
 
 
@@ -385,32 +380,27 @@ def _z_generator(p: CMPoint, ring: CoeffRing, gx: UniPoly, det_z: UniPoly) -> Di
     us = _z_rows(p, det_z)
     Xt = p.Xmat.transpose()
     w = p.ws[0].row(0)
-    hyper = ring.kind == HYPER
-    if hyper:
+    if ring.P is not None:
         # (Y^t + y Id) w^t = (w Y)^t + y w^t
         As = _x_numerators(us, _adjugate_times(Xt, gx, p.ws[0].mul(p.Ymat).row(0)))
         Bs = _x_numerators(us, _adjugate_times(Xt, gx, w))
-        P = ring.P
-        dP = P.derivative()
     else:
         As = _x_numerators(us, _adjugate_times(Xt, gx, w))
         Bs = [None] * n
     dg = gx.derivative()
 
     def derive(a, b, j):
-        # numerator over gx^(j+2) of the derivative of (a + b y) / gx^(j+1);
-        # on the hyperelliptic curve d(x) = 2y, d(y) = P'
-        if b is None:
-            return a.derivative() * gx - a * dg * (j + 1), None
-        return ((b.derivative() * P * 2 + b * dP) * gx - b * P * dg * (2 * (j + 1)),
-                a.derivative() * gx * 2 - a * dg * (2 * (j + 1)))
+        # numerator over gx^(j+2) of the derivative of (a + b y) / gx^(j+1)
+        (za, zb), (wa, wb) = ring.derivation(a, b)
+        s = dg * (j + 1)
+        return za * gx - wa * s, None if zb is None else zb * gx - wb * s
 
     gpow = [UniPoly.const("x", 1)]
     for _ in range(n):
         gpow.append(gpow[-1] * gx)
     # numerators of the d^m coefficient over gx^(n-m), seeded with det_z
     num_a = [gpow[n - m] * det_z.coeff(m) for m in range(n + 1)]
-    num_b = [UniPoly("x", []) if hyper else None] * (n + 1)
+    num_b = [UniPoly("x", [])] * (n + 1)
     for k, (a, b) in enumerate(zip(As, Bs)):
         # e_k^(j) sits over gx^(j+1) = gx^(k-m+1); lift it to gx^(n-m)
         lift = gpow[n - 1 - k]

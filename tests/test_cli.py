@@ -367,6 +367,18 @@ def _usage_error(capsys, argv):
     assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
+@pytest.mark.parametrize("options", [["--unit-power", "1"],
+                                     ["--omega", '[[0, 0, "1"]]', "--x-shift", "-1"]],
+                         ids=["unit-power", "omega-negative-shift"])
+def test_exit_2_on_act_at_singular_torus_point(tmp_path, capsys, options):
+    # both actions need X^-1; verify reports such a point as not x-invertible
+    doc = dict(_line_point_json(), curve={"kind": "Torus"})
+    pt = _write(tmp_path, "p.json", doc)
+    assert main(["act", pt] + options) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "precondition" and "singular" in err["detail"]
+
+
 def test_exit_1_on_unknown_command(capsys):
     _usage_error(capsys, ["bogus"])
     _usage_error(capsys, [])
@@ -419,5 +431,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     pt = _write(tmp_path, "p.json", _line_point_json())
     out = str(tmp_path / "v.json")
     assert main(["verify", pt, "-o", out]) == 0
+    leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+    assert leftovers == []
+
+
+def test_unwritable_output_is_schema_error(tmp_path, capsys):
+    # a missing directory fails before the temp file exists, a directory in
+    # the output's place after it: both exit 1 and leave no temp file
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "missing" / "e.json", tmp_path / "taken"):
+        assert main(["euler", "--trials", "1", "-o", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema" and str(out) in err["detail"]
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []

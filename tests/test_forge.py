@@ -12,18 +12,19 @@ from battery import (cubic_minus_x, cubic_plus_one, fourier_points, full_battery
 from cmforge.cli import _ideal_json
 from cmforge.cmspace import (CMPoint, commutant_dim, generic_point, lambda_act,
                              tangent_dim, verify_relations)
-from cmforge.curve import affine_line, plane_curve, torus
-from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, POLY, coeff_ring_for
+from cmforge.curve import affine_line, hyperelliptic, plane_curve, torus
+from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, coeff_ring_for
 from cmforge.errors import PreconditionError
 from cmforge.exact import BiPoly, Mat, PolyRing, QQ, UniPoly, char_poly
-from cmforge.forge import (OrderedProduct, SymbolicGenerators, _correction_factors,
-                           _lift, _resolvent, _vbar_t, _ypoly_to_coeff, delta_V,
-                           ideal_generators, kappa, normal_order)
-from cmforge.lattice import codim
+from cmforge.forge import (OrderedProduct, SymbolicGenerators, _coeff_in,
+                           _correction_factors, _lift, _resolvent, _vbar_t,
+                           _ypoly_to_coeff, delta_V, ideal_generators, kappa,
+                           normal_order)
+from cmforge.lattice import clearing_for, codim, module_equal, span_filtration
 
 # rational functions of one variable: Coeffs of the line's ring RF, which is
 # also the ring of the Mats that hold them
-RF = CoeffRing(POLY)
+RF = CoeffRing()
 
 
 def _parabola_point():
@@ -144,7 +145,7 @@ def test_ideal_generators_line_n1():
     assert gx == DiffOp(ring, [ring.from_poly(-x)])  # char poly of X = [[0]]
     # det(Z - z) kappa normal-orders to -d - 1/x
     assert gz.order() == 1
-    assert gz.coeff(1) == ring.from_int(-1)
+    assert gz.coeff(1) == ring.from_frac(-1)
     assert gz.coeff(0) == ring.coeff(UniPoly.const("x", -1), den=x)
 
 
@@ -159,7 +160,7 @@ def test_ideal_generators_hyper_n1():
     assert gx == DiffOp(ring, [ring.from_poly(-x)])
     assert gy == DiffOp(ring, [ring.coeff(UniPoly("x", []), UniPoly.const("x", -1))])
     assert gz.order() == 1
-    assert gz.coeff(1) == ring.from_int(-1)
+    assert gz.coeff(1) == ring.from_frac(-1)
 
 
 def test_ideal_generators_hyper_frozen_cubic_plus_one():
@@ -170,7 +171,7 @@ def test_ideal_generators_hyper_frozen_cubic_plus_one():
     x = UniPoly.x("x")
     one = UniPoly.const("x", 1)
     assert gy == DiffOp(ring, [ring.coeff(one, -one)])
-    assert gz.coeff(1) == ring.from_int(-1)
+    assert gz.coeff(1) == ring.from_frac(-1)
     assert gz.coeff(0) == ring.coeff(-one, -one, den=x)
 
 
@@ -243,7 +244,7 @@ def _oracle_zrow(p, sign):
     zpoly = PolyRing("z")
     shifted = _lift(p.Zmat.transpose(), zpoly).sub(
         Mat.identity(zpoly, p.n).scalar_mul(zpoly.gen()))
-    zrow = _lift(_vbar_t(p), zpoly).mul(shifted.adjugate()).scalar_mul(zpoly.from_int(sign))
+    zrow = _lift(_vbar_t(p), zpoly).mul(shifted.adjugate()).scalar_mul(zpoly.from_frac(sign))
     return zrow.map_entries(RF.from_poly, RF)
 
 
@@ -334,3 +335,54 @@ def test_fourier_collision_points():
         assert codim(ideal, 3 * n + 2).stabilized == n
         assert tangent_dim(p) == n * n + 2 * n
         assert commutant_dim(p) == 1
+
+
+def test_y_factor_entries_reduce_by_the_curve_equation():
+    ring = coeff_ring_for(cubic_plus_one())  # y^2 = x^3 + 1
+    y = ring.y()
+    rf = RF.from_poly(UniPoly("y", [2, 3, 5, 7]))  # 2 + 3y + 5y^2 + 7y^3
+    assert _coeff_in(rf, ring, "y") == y * y * y * 7 + y * y * 5 + y * 3 + 2
+    with pytest.raises(ValueError):
+        _coeff_in(rf, RF, "y")
+
+
+# ---------------------------------------------------------------------------
+# cross-model oracle: on y^2 = x the derivation z = 2y d/dx + d/dy is d/dt at
+# (x, y) = (t^2, t), so a hyperelliptic ideal maps to a line ideal in t
+# ---------------------------------------------------------------------------
+
+
+def _in_t_squared(q, shift=0):
+    """q(t^2) * t^shift, as a polynomial in the line's variable."""
+    cs = [0] * shift
+    for c in q.coeffs:
+        cs += [c, 0]
+    return UniPoly("x", cs)
+
+
+def _to_line(ideal, sign=1):
+    """Each coefficient (a(x) + b(x) y) / den(x) as (a(t^2) + sign b(t^2) t) / den(t^2)."""
+    ring = CoeffRing()
+    return FractionalIdeal(affine_line(), [
+        DiffOp(ring, [ring.coeff(_in_t_squared(c.a) + _in_t_squared(c.b, 1) * sign,
+                                 None, _in_t_squared(c.den)) for c in g.coeffs])
+        for g in ideal.generators])
+
+
+@pytest.mark.parametrize("ts, alphas", [((1, 2), (0, 3)), ((1, -2, 3), (1, 0, -1))],
+                         ids=["rank2", "rank3"])
+def test_hyperelliptic_ideal_on_y2_eq_x_is_the_line_ideal(ts, alphas):
+    # the hyperelliptic point at (t_i^2, t_i) has the Z of the line point at
+    # t_i, so the two ideals agree under x = t^2, y = t; b -> -b (t -> -t in
+    # the y-part only) is the control that must read unequal
+    n = len(ts)
+    hyper = ideal_generators(generic_point(hyperelliptic(UniPoly("x", [0, 1])),
+                                           [(t * t, t) for t in ts], alphas))
+    line = ideal_generators(generic_point(affine_line(), ts, alphas))
+    k = 2 * n + 4
+    mapped, flipped = _to_line(hyper), _to_line(hyper, -1)
+    for other, want in ((mapped, True), (flipped, False)):
+        cl = clearing_for(other, line)
+        assert module_equal(span_filtration(other, k, cl),
+                            span_filtration(line, k, cl)) is want
+    assert codim(mapped, k).stabilized == n

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from battery import fourier_points, hyper_points, line_points, torus_points
 from cmforge.cmspace import OneForm, generic_point, lambda_act, omega_twist
 from cmforge.curve import TORUS, affine_line, torus
-from cmforge.diffop import (CoeffRing, DiffOp, FractionalIdeal, POLY, clearing_denominator,
+from cmforge.diffop import (CoeffRing, DiffOp, FractionalIdeal, clearing_denominator,
                             coeff_ring_for)
 from cmforge.errors import PreconditionError
 from cmforge.exact import BiPoly, Mat, PolyRing, UniPoly, char_poly
@@ -310,15 +310,15 @@ def test_codim_stabilizes_torus():
 
 def test_codim_handmade_oracle():
     # <x^2, x d + 2>: index-1 sublattice of the x^0-ambient at every level
-    ring = CoeffRing(POLY)
+    ring = CoeffRing()
     g1 = DiffOp(ring, [ring.from_poly(X * X)])
-    g2 = DiffOp(ring, [ring.from_int(2), ring.x()])
+    g2 = DiffOp(ring, [ring.from_frac(2), ring.x()])
     rep = codim(FractionalIdeal(line_points()[0].curve, [g1, g2]), 6)
     assert rep.stabilized == 1
 
 
 def test_codim_unit_ideal_is_zero():
-    ring = CoeffRing(POLY)
+    ring = CoeffRing()
     one = DiffOp(ring, [ring.one()])
     rep = codim(FractionalIdeal(line_points()[0].curve, [one]), 4)
     assert rep.stabilized == 0
@@ -327,7 +327,7 @@ def test_codim_unit_ideal_is_zero():
 
 def test_codim_not_full_rank_reported():
     # a single order-2 generator spans nothing below level 2
-    ring = CoeffRing(POLY)
+    ring = CoeffRing()
     d = DiffOp.partial(ring)
     rep = codim(FractionalIdeal(line_points()[0].curve, [d.mul(d)]), 1)
     assert rep.stabilized is None
@@ -338,7 +338,7 @@ def test_codim_not_full_rank_reported():
 def test_codim_non_nested_error():
     # at k=1 the pivots are x^2 (d^1 column) and x(x+1) (d^0 column):
     # same degree, neither a multiple of the other
-    ring = CoeffRing(POLY)
+    ring = CoeffRing()
     g1 = DiffOp(ring, [ring.from_poly(X * X * (X + ONE) * (X + ONE))])
     g2 = DiffOp(ring, [ring.from_poly(X), ring.from_poly(X * X)])
     with pytest.raises(PreconditionError, match="non-nested"):
@@ -371,15 +371,15 @@ def _codim_per_level_oracle(gens, kmax):
 
 
 def test_codim_per_level_oracle():
-    ring = CoeffRing(POLY)
+    ring = CoeffRing()
     d = DiffOp.partial(ring)
     line = line_points()[0].curve
     ideals = [
         FractionalIdeal(line, [DiffOp(ring, [ring.from_poly(X * X)]),
-                               DiffOp(ring, [ring.from_int(2), ring.x()])]),
+                               DiffOp(ring, [ring.from_frac(2), ring.x()])]),
         FractionalIdeal(line, [d.mul(d)]),
         # not full rank at levels 0 and 1, full rank from level 2 on
-        FractionalIdeal(line, [d.mul(d), DiffOp(ring, [ring.from_int(2), ring.x()])]),
+        FractionalIdeal(line, [d.mul(d), DiffOp(ring, [ring.from_frac(2), ring.x()])]),
     ]
     rng = random.Random(5)
     for _ in range(4):
