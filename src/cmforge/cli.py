@@ -28,7 +28,7 @@ from .diffop import DiffOp, FractionalIdeal, clearing_denominator, coeff_ring_fo
 from .errors import PreconditionError, SchemaError
 from .exact import BiPoly, Mat, QQ, UniPoly, rat
 from .forge import ideal_generators
-from .lattice import clearing_for, codim as lattice_codim
+from .lattice import codim as lattice_codim
 from .szego import LocalKernel, extract_operator, gamma_skew_check, residue_action
 
 # ---------------------------------------------------------------------------
@@ -83,11 +83,17 @@ def _parse_poly(lst, var="x") -> UniPoly:
 
 
 def _parse_terms(items) -> BiPoly:
-    """[[r, s, "c"], ...] as the sum of c x^r y^s; repeated (r, s) add up."""
+    """[[r, s, "c"], ...] as the sum of c x^r y^s; repeated (r, s) add up.
+
+    Each exponent must be a JSON int in 0.._DIGITS, which bounds the powers
+    of X and Y that a term costs."""
     terms = {}
     for r, s, cc in items:
-        k = (int(r), int(s))
-        terms[k] = terms.get(k, Fraction(0)) + _parse_frac(cc)
+        for e in (r, s):
+            if type(e) is not int or not 0 <= e <= _DIGITS:  # bools and floats too
+                raise SchemaError("a term exponent must be an integer in 0..%d, got %.80r"
+                                  % (_DIGITS, e))
+        terms[r, s] = terms.get((r, s), Fraction(0)) + _parse_frac(cc)
     return BiPoly(terms)
 
 
@@ -295,10 +301,10 @@ def _handle_codim(payload, ns):
     if ambient is not None:
         # the wire reports the ambient pivot of the span cleared by
         # den**(maxorder + 1), den the common denominator; that span is the
-        # library's (cleared by m = clearing_for(ideal).multiplier()) times
+        # library's (cleared by m = report.clearing.multiplier()) times
         # the polynomial den**(maxorder + 1) / m, which scales every pivot
         wire = clearing_denominator(gens) ** (max_order + 1)
-        ambient, rem = (ambient * wire).divmod_(clearing_for(ideal).multiplier())
+        ambient, rem = (ambient * wire).divmod_(report.clearing.multiplier())
         if not rem.is_zero:
             raise RuntimeError("the ambient pivot times den**(maxorder + 1) is not a "
                                "multiple of the clearing multiplier")
@@ -315,12 +321,10 @@ def _handle_act(payload, ns):
     unit_power, omega = ns.unit_power, ns.omega
     if (unit_power is None) == (omega is None):
         raise SchemaError("act needs exactly one of --unit-power or --omega")
+    if abs(ns.x_shift) > _DIGITS:
+        raise SchemaError("--x-shift must lie in -%d..%d" % (_DIGITS, _DIGITS))
     if unit_power is not None:
-        try:
-            r = rat(Fraction(unit_power))
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError("--unit-power must be rational, got %r" % (unit_power,))
-        return _point_json(lambda_act(p, r))
+        return _point_json(lambda_act(p, rat(_parse_frac(unit_power))))
     try:
         g = _parse_terms(json.loads(omega))
     except SchemaError:

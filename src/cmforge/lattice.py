@@ -3,9 +3,10 @@
 Operators are compared through their coefficient rows over Q[x]: every
 generator is cleared to polynomial form by one recorded right multiplier
 s**M (``clearing_for``: s squarefree, M read off the pole orders by a
-valuation argument; degree n**2 on forge output), the filtration level k
-span is assembled as a matrix of derivative rows, and row-span questions
-(codimension, equality) reduce to Hermite forms.  Right multiplication by a
+valuation argument; degree n**2 on forge output), ``_levels`` yields the
+derivative rows of the level k span level by level, and row-span questions
+(codimension, equality) reduce to Hermite forms, which ``codim`` keeps in
+the descent's integer rows.  Right multiplication by a
 polynomial f is triangular on the rows with f on the diagonal, so it scales
 every Hermite pivot by f: the codimensions do not depend on the multiplier,
 and ``codim``'s ambient pivot is that of the s**M span.
@@ -60,15 +61,17 @@ def x_saturate(m: Mat) -> Mat:
 
 
 def _int_rows(m: Mat) -> list:
-    """The rows of a Q[x] matrix as int coefficient lists, each row over one
-    lcm of its denominators, made primitive."""
+    """The rows of a Q[x] matrix as int rows (``_int_row``)."""
     if not isinstance(m.ring, PolyRing):
         raise ValueError("a Hermite form needs a matrix over a polynomial ring")
-    rows = []
-    for row in map(m.row, range(m.rows)):
-        den = lcm(*[e.den for e in row])
-        rows.append(_primitive([[c * (den // e.den) for c in e.num] for e in row]))
-    return rows
+    return [_int_row(row) for row in map(m.row, range(m.rows))]
+
+
+def _int_row(row: list[UniPoly]) -> list:
+    """A Q[x] row as int coefficient lists over one lcm of its denominators,
+    made primitive."""
+    den = lcm(*[e.den for e in row])
+    return _primitive([[c * (den // e.den) for c in e.num] for e in row])
 
 
 def _poly_mat(ring: PolyRing, rows: list, nrows: int, ncols: int) -> Mat:
@@ -307,79 +310,15 @@ def _d_row(row: list[UniPoly]) -> list[UniPoly]:
             + [row[-1].derivative()])
 
 
-def _level_mat(rows: list, k: int) -> Mat:
-    """Level-k rows (columns d^k .. d^0) as a matrix, possibly with no rows."""
-    return Mat.from_rows(_PR, rows) if rows else Mat(_PR, 0, k + 1, ())
+def _levels(ops: list[DiffOp], kmax: int):
+    """For k = 0..kmax, the rows that enter the span at level k, in op order.
 
-
-def span_filtration(gens: FractionalIdeal, k: int,
-                    clearing: ClearingData | None = None) -> FiltrationModule:
-    """Rows d^s * (g * multiplier) for each generator g and s <= k - order(g)."""
-    if k < 0:
-        raise ValueError("negative filtration level")
-    if clearing is None:
-        clearing = clearing_for(gens)
-    zero = _PR.zero()
-    rowvecs = []
-    for op in _cleared_ops(gens, clearing):
-        if op.order() > k:
-            continue
-        row = _row(op, op.order())
-        while True:
-            rowvecs.append([zero] * (k + 1 - len(row)) + row)
-            if len(row) > k:
-                break
-            row = _d_row(row)
-    return FiltrationModule(gens.curve.kind, k, _level_mat(rowvecs, k), clearing)
-
-
-@dataclass(frozen=True)
-class CodimReport:
-    """Codimension of the span inside the ambient rank-one lattice, per level.
-
-    ambient_pivot belongs to the span cleared by clearing_for(gens); a span
-    cleared by m * f instead has the ambient pivot ambient_pivot * f.
+    The row d^s * op has order order(op) + s, so it enters at exactly one
+    level: at k = order(op) the row of op (``_row``), and at each later level
+    the row of one more left multiplication by d (``_d_row``).  A row that
+    enters at level k has the k + 1 columns d^k .. d^0.
     """
-
-    entries: tuple
-    stabilized: int | None
-    ambient_pivot: UniPoly | None
-
-
-def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
-    """Codimension dim(ambient_k / span_k) for k = 0..kmax.
-
-    The level-k span is span_filtration's, built incrementally.  The row
-    d^s * (g * multiplier) has order order(g) + s, so it enters at exactly
-    one level, and each level k >= order(g) takes one new row from each
-    generator g, made from its previous row by one more left multiplication
-    by d (``_d_row``).  The level-k Hermite form is the Hermite form of the
-    new rows stacked on the nonzero rows of the level-(k-1) form, padded with
-    a zero in the new d^k column.  That is exact: the previous form is U
-    times the previous span with U unimodular, so the stacked rows span the
-    level-k module, and a Hermite form depends only on the row module.
-
-    The ambient pivot is read off as the minimal pivot of the level-kmax
-    Hermite form of the span cleared by clearing_for(gens); each level
-    contributes the sum of pivot degree excesses over it.  On the torus
-    degrees are Laurent degrees (degree minus x-valuation), which makes the
-    count independent of the unit clearing.
-    A pivot that is not a multiple of the ambient pivot means the span is
-    not a sublattice of a rank-one module and is reported as an error.
-    """
-    if kmax < 0:
-        raise ValueError("negative kmax")
-    clearing = clearing_for(gens)
-    ops = _cleared_ops(gens, clearing)
-    laurent = gens.curve.kind == TORUS
-    zero = _PR.zero()
-
-    def deg_l(p: UniPoly) -> int:
-        return p.degree() - (p.x_valuation() if laurent else 0)
-
-    per_k = []
-    basis: list[list[UniPoly]] = []  # nonzero rows of the previous level's Hermite form
-    current: list = [None] * len(ops)  # each generator's row, once it has entered
+    current: list = [None] * len(ops)  # each op's row, once it has entered
     for k in range(kmax + 1):
         rows = []
         for j, op in enumerate(ops):
@@ -390,36 +329,93 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
             else:
                 continue
             rows.append(current[j])
-        rows += [[zero] + r for r in basis]
-        h, _ = hnf(_level_mat(rows, k))
-        basis = [r for r in map(h.row, range(h.rows)) if any(not e.is_zero for e in r)]
-        pivots = [next(e for e in r if not e.is_zero) for r in basis]
-        per_k.append(pivots if len(pivots) == k + 1 else None)
+        yield rows
+
+
+def span_filtration(gens: FractionalIdeal, k: int,
+                    clearing: ClearingData | None = None) -> FiltrationModule:
+    """Rows d^s * (g * multiplier) for each generator g and s <= k - order(g),
+    level by level (``_levels``)."""
+    if k < 0:
+        raise ValueError("negative filtration level")
+    if clearing is None:
+        clearing = clearing_for(gens)
+    zero = _PR.zero()
+    rows = [[zero] * (k + 1 - len(row)) + row
+            for level in _levels(_cleared_ops(gens, clearing), k) for row in level]
+    m = Mat.from_rows(_PR, rows) if rows else Mat(_PR, 0, k + 1, ())
+    return FiltrationModule(gens.curve.kind, k, m, clearing)
+
+
+@dataclass(frozen=True)
+class CodimReport:
+    """Codimension of the span inside the ambient rank-one lattice, per level.
+
+    ambient_pivot belongs to the span cleared by clearing.multiplier(), with
+    clearing = clearing_for(gens); a span cleared by that multiplier times f
+    instead has the ambient pivot ambient_pivot * f.
+    """
+
+    entries: tuple
+    stabilized: int | None
+    ambient_pivot: UniPoly | None
+    clearing: ClearingData
+
+
+def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
+    """Codimension dim(ambient_k / span_k) for k = 0..kmax.
+
+    The level-k span is span_filtration's, built incrementally from the rows
+    that ``_levels`` yields.  The level-k Hermite form is the Hermite form of
+    the new rows stacked on the nonzero rows of the level-(k-1) form, padded
+    with a zero in the new d^k column.  That is exact: the previous form is U
+    times the previous span with U unimodular, so the stacked rows span the
+    level-k module, and a Hermite form depends only on the row module.  The
+    form stays in the descent's integer rows (``_descend``), each its Hermite
+    row made primitive with a positive pivot lead, so only new rows convert.
+
+    The ambient pivot is the pivot of least degree at level kmax, made monic
+    (on the torus it keeps its x-power); each level contributes the sum of
+    pivot degree excesses over it.  On the torus degrees are Laurent degrees
+    (degree minus x-valuation), which makes the count independent of the
+    unit clearing.  A pivot that is not a multiple of the ambient pivot
+    (x-powers dropped on the torus) means the span is not a sublattice of a
+    rank-one module and is reported as an error.
+    """
+    if kmax < 0:
+        raise ValueError("negative kmax")
+    clearing = clearing_for(gens)
+    val = _val if gens.curve.kind == TORUS else lambda e: 0
+    per_k = []
+    basis: list = []  # int rows of the previous level's Hermite form
+    for k, new in enumerate(_levels(_cleared_ops(gens, clearing), kmax)):
+        rows = [_int_row(row) for row in new] + [[[]] + row for row in basis]
+        basis = rows[:_descend(rows, k + 1, laurent=False)]
+        per_k.append([next(e for e in row if e) for row in basis]
+                     if len(basis) == k + 1 else None)
     if per_k[-1] is None:
-        return CodimReport(tuple((k, None) for k in range(kmax + 1)), None, None)
-    ambient = min(per_k[-1], key=deg_l)
-    ambient_red = ambient.div_xk(ambient.x_valuation()) if laurent else ambient
+        return CodimReport(tuple((k, None) for k in range(kmax + 1)), None, None, clearing)
+
+    def deg(p: list) -> int:  # one more than the (Laurent) degree
+        return len(p) - val(p)
+
+    def monic(p: list) -> UniPoly:
+        return _poly(_PR.var, list(p), p[-1])
+
+    ambient = min(per_k[-1], key=deg)
+    ambient0 = ambient[val(ambient):]
     values: list[int | None] = []
     for pivots in per_k:
-        if pivots is None:
-            values.append(None)
-            continue
-        total = 0
-        for p in pivots:
-            p_red = p.div_xk(p.x_valuation()) if laurent else p
-            _, rem = p_red.divmod_(ambient_red)
-            if not rem.is_zero:
+        for p in pivots or ():
+            if any(_pseudo_divmod(p[val(p):], ambient0)[1]):
                 raise PreconditionError(
                     "non-nested modules: pivot %r is not a multiple of the "
-                    "ambient pivot %r" % (p, ambient))
-            total += deg_l(p) - deg_l(ambient)
-        values.append(total)
-    stabilized = None
-    if kmax >= 2 and values[-1] is not None:
-        tail = values[-3:]
-        if tail[0] == tail[1] == tail[2]:
-            stabilized = values[-1]
-    return CodimReport(tuple(zip(range(kmax + 1), values)), stabilized, ambient)
+                    "ambient pivot %r" % (monic(p), monic(ambient)))
+        values.append(None if pivots is None
+                      else sum(deg(p) for p in pivots) - len(pivots) * deg(ambient))
+    stabilized = values[-1] if kmax >= 2 and len(set(values[-3:])) == 1 else None
+    return CodimReport(tuple(zip(range(kmax + 1), values)), stabilized, monic(ambient),
+                       clearing)
 
 
 def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -165,9 +166,12 @@ def test_codim_bytes_pinned(tmp_path, capsys, name):
 def test_codim_rescale_remainder_is_internal_error(tmp_path, capsys, monkeypatch):
     # a multiplier that does not divide ambient * den**(maxorder + 1) is a
     # bug of the lattice layer: exit 3, not a precondition
+    import dataclasses
     import cmforge.cli as cli
-    from cmforge.lattice import ClearingData
-    monkeypatch.setattr(cli, "clearing_for", lambda ideal: ClearingData(UniPoly("x", [5, 1]), 1))
+    from cmforge.lattice import ClearingData, codim
+    bad = ClearingData(UniPoly("x", [5, 1]), 1)
+    monkeypatch.setattr(cli, "lattice_codim",
+                        lambda ideal, kmax: dataclasses.replace(codim(ideal, kmax), clearing=bad))
     doc = _ideal_json(ideal_generators(line_points()[1]))
     assert main(["codim", _write(tmp_path, "i.json", doc)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "internal"
@@ -377,6 +381,54 @@ def test_exit_2_on_act_at_singular_torus_point(tmp_path, capsys, options):
     assert main(["act", pt] + options) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "precondition" and "singular" in err["detail"]
+
+
+def _cli_subprocess(argv):
+    # a fresh interpreter with a timeout, so that an unbounded run fails the
+    # test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "cmforge.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+_TORUS_POINT = dict(_line_point_json(), curve={"kind": "Torus"}, X=[["1"]])
+_OMEGA_1 = ["--omega", '[[0, 0, "1"]]']
+
+
+@pytest.mark.parametrize("command, doc, options", [
+    ("act", _TORUS_POINT, ["--omega", '[[-1, 0, "1"]]']),
+    ("act", _TORUS_POINT, ["--omega", '[[100000000, 0, "1"]]']),
+    ("act", _TORUS_POINT, ["--omega", '[[1.5, 0, "1"]]']),
+    ("act", _TORUS_POINT, ["--omega", '[[true, 0, "1"]]']),
+    ("act", _TORUS_POINT, _OMEGA_1 + ["--x-shift", "4301"]),
+    ("act", _TORUS_POINT, _OMEGA_1 + ["--x-shift", "-100000000"]),
+    ("act", _TORUS_POINT, ["--unit-power", "1e300000"]),
+    ("act", _TORUS_POINT, ["--unit-power", "7" * 5000]),
+    ("make-point", {"curve": {"kind": "PlaneCurve", "F": [[0, 1, "1"], [-1, 0, "-1"]]},
+                    "points": [[1, 1]]}, []),
+    ("make-point", {"curve": {"kind": "PlaneCurve", "F": [[0, 1, "1"], [4301, 0, "-1"]]},
+                    "points": [[1, 1]]}, []),
+], ids=["omega-negative-exponent", "omega-huge-exponent", "omega-float-exponent",
+        "omega-bool-exponent", "x-shift-above-bound", "x-shift-huge", "unit-power-huge-exponent",
+        "unit-power-5000-digits", "F-negative-exponent", "F-exponent-above-bound"])
+def test_exit_1_on_unbounded_input(tmp_path, command, doc, options):
+    # exponents are JSON ints in 0..4300 and |--x-shift| <= 4300: anything
+    # else is rejected before any matrix work, with a short message
+    r = _cli_subprocess([command, _write(tmp_path, "in.json", doc)] + options)
+    assert r.returncode == 1, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "schema" and len(err["detail"]) < 200
+
+
+@pytest.mark.parametrize("options", [["--omega", '[[4300, 0, "1"]]'],
+                                     _OMEGA_1 + ["--x-shift", "4300"],
+                                     _OMEGA_1 + ["--x-shift", "-4300"]],
+                         ids=["omega-exponent", "x-shift", "negative-x-shift"])
+def test_act_at_the_exponent_bound(tmp_path, options):
+    # X = [[1]] and Z = [[0]]: each twist adds 1 to Z
+    acted = str(tmp_path / "acted.json")
+    assert main(["act", _write(tmp_path, "p.json", _TORUS_POINT), "-o", acted] + options) == 0
+    assert json.loads(open(acted).read())["Z"] == [["1"]]
 
 
 def test_exit_1_on_unknown_command(capsys):

@@ -386,6 +386,10 @@ def test_codim_per_level_oracle():
         c = rng.choice([affine_line(), torus()])
         pool = [v for v in range(-3, 4) if v or c.kind != TORUS]
         ideals.append(ideal_generators(generic_point(c, rng.sample(pool, rng.randint(1, 2)))))
+    # unit-conjugated torus ideals: their Q[x] pivots carry x-powers, which
+    # the Laurent degrees and the nesting check must drop
+    ideals += [unit_conjugate(ideal_generators(p), r) for p in torus_points() for r in (1, -1)]
+    ideals += [ideal_generators(p) for p in fourier_points()]
     for gens in ideals:
         for kmax in (0, 1, 5):
             rep = codim(gens, kmax)
