@@ -157,10 +157,9 @@ def _parse_point(d) -> CMPoint:
     if not isinstance(d, dict):
         raise SchemaError("point must be a JSON object")
     c = _parse_curve(d.get("curve"))
-    try:
-        n = int(d["n"])
-    except Exception:
-        raise SchemaError("point needs an integer 'n'")
+    n = d.get("n")
+    if type(n) is not int or n < 0:
+        raise SchemaError("point needs an integer 'n' >= 0")
     X = _parse_mat(d.get("X"), n, n, "X")
     Z = _parse_mat(d.get("Z"), n, n, "Z")
     Y = None

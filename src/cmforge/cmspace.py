@@ -529,9 +529,15 @@ def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
     if form.curve != p.curve:
         raise ValueError("one-form belongs to a different curve")
     G = bipoly_apply(form.coefficient, p.Xmat, p.Ymat)
-    if form.x_shift:
-        k = form.x_shift
-        step = p.Xmat if k > 0 else _x_inverse(p)
-        for _ in range(abs(k)):
-            G = G.mul(step)
+    k = form.x_shift
+    if k:
+        # X**k by repeated squaring, X**-1 in place of X for k < 0
+        base = p.Xmat if k > 0 else _x_inverse(p)
+        k = abs(k)
+        while k:
+            if k & 1:
+                G = G.mul(base)
+            k >>= 1
+            if k:
+                base = base.mul(base)
     return p.with_z(p.Zmat.add(G))

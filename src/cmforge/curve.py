@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import BiPoly, UniPoly, rat, sylvester_det, PolyRing
+from .exact import BiPoly, UniPoly, resultant
 
 AFFINE_LINE = "AffineLine"
 TORUS = "Torus"
@@ -213,15 +213,9 @@ def smoothness_check(c: CurveModel):
         if g.degree() > 0:
             return False, repr(g)
         return True, None
-    ring = PolyRing("x")
-
-    def res_y(a: BiPoly, b: BiPoly):
-        ac = list(reversed(a.coeffs_in_y("x")))
-        bc = list(reversed(b.coeffs_in_y("x")))
-        return sylvester_det(ac, bc, ring)
-
-    rx = res_y(F, Fx) if not Fx.is_zero else UniPoly("x", [])
-    ry = res_y(F, Fy) if not Fy.is_zero else UniPoly("x", [])
+    fc = F.coeffs_in_y("x")
+    rx = resultant(fc, Fx.coeffs_in_y("x"))
+    ry = resultant(fc, Fy.coeffs_in_y("x"))
     if rx.is_zero and ry.is_zero:
         return False, "resultants vanish identically"
     if rx.is_zero:

@@ -22,7 +22,7 @@ from .exact import UniPoly, rat
 from . import curve as curvemod
 
 class CoeffRing:
-    """The curve's coefficient field, as a Mat ring.
+    """The curve's coefficient field, as a Mat field.
 
     CoeffRing() is Q(x), for the line and the torus; CoeffRing(P) is
     Q(x)[y] / (y^2 - P(x)), elements (a(x) + b(x) y) / den(x), a field too
@@ -32,7 +32,6 @@ class CoeffRing:
     """
 
     __slots__ = ("P",)
-    is_field = True
 
     def __init__(self, P: UniPoly | None = None):
         object.__setattr__(self, "P", P)
@@ -88,13 +87,10 @@ class CoeffRing:
         return ((b.derivative() * P * 2 + b * P.derivative(), a.derivative() * 2),
                 (b * P * 2, a * 2))
 
-    # division for Mat ------------------------------------------------------
+    # the inverse for Mat ----------------------------------------------------
 
     def inv(self, a: "Coeff") -> "Coeff":
         return a.inv()
-
-    def exact_div(self, a: "Coeff", b: "Coeff") -> "Coeff":
-        return a * b.inv()
 
     def __repr__(self):
         return "CoeffRing()" if self.P is None else "CoeffRing(%r)" % (self.P,)

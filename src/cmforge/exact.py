@@ -1,11 +1,13 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision rationals, univariate and bivariate polynomials, and
-matrices with fraction-free determinants.  A matrix computes with its
-entries' own operators; its ring object (QQ, PolyRing, diffop.CoeffRing)
-supplies only the constants and the division that elimination needs.
-Rational functions are not a type of their own here: a quotient p/q of
-polynomials is a ``diffop.Coeff``.  Everything here is immutable and pure.
+matrices over a field.  A matrix computes with its entries' own operators;
+its field object (QQ or diffop.CoeffRing) supplies only the constants and
+the inverse that elimination needs.  Work over Q[x] stays off Mat: the
+characteristic polynomial comes from a Hessenberg form over Q, and the
+resultant from a subresultant sequence on coefficient lists.  Rational
+functions are not a type of their own here: a quotient p/q of polynomials
+is a ``diffop.Coeff``.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -168,20 +170,6 @@ class UniPoly:
             k >>= 1
         return out
 
-    def mul_xk(self, k: int) -> "UniPoly":
-        """Multiply by var**k, k >= 0."""
-        if not self.num or not k:
-            return self
-        return _raw(self.var, (0,) * k + self.num, self.den)
-
-    def div_xk(self, k: int) -> "UniPoly":
-        """Divide by var**k, k >= 0: the inverse of mul_xk."""
-        if any(self.num[:k]):
-            raise ValueError("%r is not divisible by %s^%d" % (self, self.var, k))
-        if not k:
-            return self
-        return _raw(self.var, self.num[k:], self.den)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = UniPoly.const(self.var, other)
@@ -196,12 +184,6 @@ class UniPoly:
         if len(self.num) > 1:
             return hash((self.var, self.num, self.den))
         return hash(Fraction(self.num[0], self.den)) if self.num else 0
-
-    def evaluate(self, v: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.num):
-            acc = acc * v + c
-        return acc / self.den
 
     def derivative(self) -> "UniPoly":
         return _poly(self.var, [i * c for i, c in enumerate(self.num)][1:], self.den)
@@ -242,10 +224,6 @@ class UniPoly:
         if num[-1] < 0:
             return _poly(self.var, [-c for c in num], -num[-1])
         return _poly(self.var, list(num), num[-1])
-
-    def x_valuation(self) -> int:
-        """Lowest exponent with a nonzero coefficient (0 for the zero polynomial)."""
-        return next((i for i, c in enumerate(self.num) if c), 0)
 
     def __repr__(self):
         if not self.num:
@@ -503,9 +481,7 @@ def bipoly_apply(f: BiPoly, a: "Mat", b: "Mat | None" = None) -> "Mat":
 
 
 class RationalRing:
-    """The rationals as a Mat coefficient ring."""
-
-    is_field = True
+    """The rationals as a Mat field."""
 
     def zero(self):
         return Fraction(0)
@@ -515,9 +491,6 @@ class RationalRing:
 
     def from_frac(self, c: Fraction):
         return rat(c)
-
-    def exact_div(self, a, b):
-        return a / b
 
     def inv(self, a):
         return 1 / a
@@ -529,49 +502,16 @@ class RationalRing:
         return hash("QQ")
 
 
-class PolyRing:
-    """Ring of UniPoly in a fixed variable."""
-
-    is_field = False
-
-    def __init__(self, var: str):
-        self.var = var
-
-    def zero(self):
-        return UniPoly(self.var, [])
-
-    def one(self):
-        return UniPoly.const(self.var, 1)
-
-    def gen(self):
-        return UniPoly.x(self.var)
-
-    def from_frac(self, c):
-        return UniPoly.const(self.var, rat(c))
-
-    def exact_div(self, a, b):
-        q, r = a.divmod_(b)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and other.var == self.var
-
-    def __hash__(self):
-        return hash(("poly", self.var))
-
-
 QQ = RationalRing()
 
 
 class Mat:
-    """Immutable row-major matrix over a declared coefficient ring.
+    """Immutable row-major matrix over a declared field (QQ or a
+    diffop.CoeffRing).
 
-    Entry arithmetic and zero tests use the entries' own operators; the ring
+    Entry arithmetic and zero tests use the entries' own operators; the field
     object supplies only the constants zero(), one() and from_frac(), and
-    the division that det, inv and rref need: exact_div(), plus inv() and a
-    true is_field for fields.
+    inv(), the one division that det, inv and rref need.
     """
 
     __slots__ = ("ring", "rows", "cols", "entries")
@@ -662,7 +602,8 @@ class Mat:
             raise ValueError("shape mismatch")
 
     def det(self):
-        """Fraction-free Bareiss determinant over an integral domain."""
+        """Bareiss determinant: every division is exact, so the entries stay
+        minors of the matrix."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -681,20 +622,19 @@ class Mat:
                         break
                 else:
                     return rg.zero()
+            pinv = rg.inv(prev)
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    a[i][j] = rg.exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) * pinv
                 a[i][k] = rg.zero()
             prev = a[k][k]
         d = a[n - 1][n - 1]
         return -d if sign < 0 else d
 
     def _gauss_jordan(self, a: list, stop: int) -> list:
-        """Gauss-Jordan over a field on the rows a, pivoting in the first
-        stop columns; returns the pivot columns."""
+        """Gauss-Jordan on the rows a, pivoting in the first stop columns;
+        returns the pivot columns."""
         rg = self.ring
-        if not rg.is_field:
-            raise ValueError("elimination requires a field coefficient ring")
         pivots = []
         for col in range(stop):
             r = len(pivots)
@@ -714,7 +654,7 @@ class Mat:
         return pivots
 
     def inv(self) -> "Mat":
-        """Gauss-Jordan inverse over a field."""
+        """Gauss-Jordan inverse."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -725,7 +665,7 @@ class Mat:
         return Mat.from_rows(self.ring, [row[n:] for row in a])
 
     def rref(self):
-        """Reduced row echelon form over a field; returns (rows, pivot column list)."""
+        """Reduced row echelon form; returns (rows, pivot column list)."""
         a = [self.row(i) for i in range(self.rows)]
         return a, self._gauss_jordan(a, self.cols)
 
@@ -781,53 +721,108 @@ def rational_rank(vectors) -> int:
 
 
 def char_poly(m: Mat, var: str) -> UniPoly:
-    """det(m - t*Id) as a UniPoly in var, for a matrix over the rationals."""
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    ring = PolyRing(var)
-    t = ring.gen()
-    lifted = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = ring.from_frac(m.entry(i, j))
-            if i == j:
-                e = e - t
-            lifted.append(e)
-    return Mat(ring, m.rows, m.cols, lifted).det()
+    """det(m - t*Id) as a UniPoly in var, for a matrix over the rationals.
 
-
-def sylvester_det(pc, qc, ring):
-    """Resultant via the Sylvester matrix.
-
-    pc, qc are coefficient lists highest degree first, entries in ring.
+    A similarity reduces m to upper Hessenberg form h over Q (Gaussian
+    elimination below the subdiagonal, each row operation undone on the
+    columns).  The leading principal minors p_k = det(t*Id - h_k) then obey
+    p_(k+1) = (t - h_kk) p_k - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) p_i,
+    the expansion along the last column (the Hessenberg method of Cohen, "A
+    course in computational algebraic number theory", section 2.2).  The
+    recurrence runs on ints, for d*h with d the lcm of h's denominators,
+    since det(t*Id - h) = d**-n det(d*t*Id - d*h).
     """
-    pc = list(pc)
-    qc = list(qc)
-    while pc and pc[0] == 0:
-        pc.pop(0)
-    while qc and qc[0] == 0:
-        qc.pop(0)
-    if not pc and not qc:
-        raise ValueError("resultant of two zero polynomials")
-    if not pc or not qc:
-        return ring.zero()
-    m = len(pc) - 1
-    n = len(qc) - 1
-    size = m + n
-    if size == 0:
-        return ring.one()
-    rows = []
-    for i in range(n):
-        rows.append([ring.zero()] * i + pc + [ring.zero()] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([ring.zero()] * i + qc + [ring.zero()] * (size - i - n - 1))
-    return Mat.from_rows(ring, rows).det()
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    h = [[rat(e) for e in m.row(i)] for i in range(n)]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        r = j + 1
+        if piv != r:
+            h[r], h[piv] = h[piv], h[r]
+            for row in h:
+                row[r], row[piv] = row[piv], row[r]
+        pinv = 1 / h[r][j]
+        for i in range(r + 1, n):
+            u = h[i][j] * pinv
+            if u:
+                h[i] = [a - u * b for a, b in zip(h[i], h[r])]
+                for row in h:
+                    row[r] += u * row[i]
+    d = lcm(*[e.denominator for row in h for e in row])
+    g = [[e.numerator * (d // e.denominator) for e in row] for row in h]
+    ps = [[1]]
+    for k in range(n):
+        p = [0] + ps[k]
+        for i, c in enumerate(ps[k]):
+            p[i] -= g[k][k] * c
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub *= g[i + 1][i]
+            if not sub:
+                break
+            c = g[i][k] * sub
+            for j, e in enumerate(ps[i]):
+                p[j] -= c * e
+        ps.append(p)
+    sign = -1 if n % 2 else 1
+    return _poly(var, [sign * c * d ** j for j, c in enumerate(ps[n])], d ** n)
 
 
-def resultant(p: UniPoly, q: UniPoly):
-    """Resultant of two rational-coefficient polynomials in the same variable."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("resultant of two zero polynomials")
-    if p.degree() > 0 and q.degree() > 0 and p.var != q.var:
-        raise ValueError("variable mismatch: %s vs %s" % (p.var, q.var))
-    return sylvester_det(list(reversed(p.coeffs)), list(reversed(q.coeffs)), QQ)
+def resultant(p, q) -> UniPoly:
+    """Resultant in the main variable of two polynomials with coefficients in
+    Q[x]: the determinant of their Sylvester matrix, p's rows first.
+
+    p and q are coefficient sequences, lowest degree first, with entries
+    UniPoly in one variable or rationals (the constant case: a resultant over
+    Q, returned as a constant).  A zero polynomial gives 0.  One subresultant
+    remainder sequence (Collins 1967; Cohen, "A course in computational
+    algebraic number theory", section 3.3): every division in it is exact.
+    """
+    a, b = (_trim([c if isinstance(c, UniPoly) else UniPoly.const("x", c) for c in f])
+            for f in (p, q))
+    if not a or not b:
+        return UniPoly("x", [])
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = UniPoly.const("x", 1)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return UniPoly("x", [])
+        a, b = b, [c.divmod_(g * h ** delta)[0] for c in r]
+        g = a[-1]
+        if delta:  # h <- g**delta / h**(delta - 1)
+            h = (g ** delta).divmod_(h ** (delta - 1))[0]
+    # lc(b)**deg(a) / h**(deg(a) - 1); deg(a) = 0 only for two constants
+    return (b[-1] ** (len(a) - 1)).divmod_(h ** max(len(a) - 2, 0))[0] * sign
+
+
+def _trim(cs: list) -> list:
+    """A coefficient list without its trailing zeros."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder of coefficient lists, lowest degree first: r with
+    lc(b)**(len(a) - len(b) + 1) * a = q * b + r, len(r) < len(b), trimmed."""
+    n = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    for k in range(len(a) - 1 - n, -1, -1):
+        t = r.pop()
+        r = [c * lb for c in r]
+        if t != 0:
+            for i in range(n):
+                r[k + i] = r[k + i] - t * b[i]
+    return _trim(r)

@@ -14,7 +14,8 @@ One descent (``_descend``) gives the Hermite form over Q[x] (``hnf``) and,
 on the torus, over Q[x, 1/x] (``x_saturate``), where x is a unit: there
 pivots are normalised in their row's own frame (the row over the pivot's
 x-power) and entries above a pivot are reduced into a residue window of
-that frame.
+that frame.  Rows are tuples of UniPoly in x, and a Hermite form is the
+tuple of its nonzero rows.
 """
 
 from __future__ import annotations
@@ -25,26 +26,24 @@ from math import gcd, lcm
 from .curve import AFFINE_LINE, TORUS
 from .diffop import DiffOp, FractionalIdeal, clearing_denominator
 from .errors import PreconditionError
-from .exact import Mat, PolyRing, UniPoly, _poly, _pseudo_divmod
-
-_PR = PolyRing("x")
+from .exact import UniPoly, _poly, _pseudo_divmod
 
 
-def hnf(m: Mat) -> tuple[Mat, int]:
-    """Row Hermite form over Q[x]: returns (H, rank), H of the shape of m.
+def hnf(rows) -> tuple:
+    """Row Hermite form over Q[x] of rows of UniPoly: its nonzero rows.
 
     Pivots are monic and entries above a pivot have strictly lower degree,
-    so equal row spans produce identical H.  The first rank rows of H are
-    nonzero and the rest are zero.  No unimodular factor is built.  This is
-    the Q[x] case of the Hermite descent ``_descend``.
+    so equal row spans produce identical forms; the rank is the number of
+    rows returned.  No unimodular factor is built.  This is the Q[x] case of
+    the Hermite descent ``_descend``.
     """
-    rows = _int_rows(m)
-    r = _descend(rows, m.cols, laurent=False)
-    return _poly_mat(m.ring, rows[:r], m.rows, m.cols), r
+    ints = _int_rows(rows)
+    return _poly_rows(ints[:_descend(ints, len(rows[0]) if rows else 0, laurent=False)])
 
 
-def x_saturate(m: Mat) -> Mat:
-    """Canonical form of the row span of m over Q[x, 1/x], one row per rank.
+def x_saturate(rows) -> tuple:
+    """Canonical form of the row span over Q[x, 1/x] of rows of UniPoly, one
+    row per rank.
 
     Clearing a torus ideal multiplies generators by x-power units, which can
     change the Q[x] row span but not the Laurent span; this form depends
@@ -55,33 +54,31 @@ def x_saturate(m: Mat) -> Mat:
     window [0, L) of its row's frame.  Each row is returned shifted to
     x-valuation 0, as a row over Q[x].
     """
-    rows = [_strip(row) for row in _int_rows(m)]
-    r = _descend(rows, m.cols, laurent=True)
-    return _poly_mat(m.ring, rows[:r], r, m.cols)
+    ints = [_strip(row) for row in _int_rows(rows)]
+    return _poly_rows(ints[:_descend(ints, len(rows[0]) if rows else 0, laurent=True)])
 
 
-def _int_rows(m: Mat) -> list:
-    """The rows of a Q[x] matrix as int rows (``_int_row``)."""
-    if not isinstance(m.ring, PolyRing):
-        raise ValueError("a Hermite form needs a matrix over a polynomial ring")
-    return [_int_row(row) for row in map(m.row, range(m.rows))]
+def _int_rows(rows) -> list:
+    """Rows of UniPoly as int rows (``_int_row``)."""
+    if not all(isinstance(e, UniPoly) for row in rows for e in row):
+        raise ValueError("a Hermite form needs rows of polynomials")
+    return [_int_row(row) for row in rows]
 
 
-def _int_row(row: list[UniPoly]) -> list:
+def _int_row(row) -> list:
     """A Q[x] row as int coefficient lists over one lcm of its denominators,
     made primitive."""
     den = lcm(*[e.den for e in row])
     return _primitive([[c * (den // e.den) for c in e.num] for e in row])
 
 
-def _poly_mat(ring: PolyRing, rows: list, nrows: int, ncols: int) -> Mat:
-    """Int rows as UniPoly rows with monic pivots, padded with zero rows."""
+def _poly_rows(rows: list) -> tuple:
+    """Nonzero int rows as UniPoly rows in x with monic pivots."""
     out = []
     for row in rows:
         den = next(e for e in row if e)[-1]  # the pivot's, positive by _primitive
-        out += [_poly(ring.var, e, den) for e in row]
-    out += [ring.zero()] * (ncols * (nrows - len(rows)))
-    return Mat(ring, nrows, ncols, out)
+        out.append(tuple([_poly("x", e, den) for e in row]))
+    return tuple(out)
 
 
 def _descend(rows: list, ncols: int, laurent: bool) -> int:
@@ -269,13 +266,14 @@ def clearing_for(*ideals: FractionalIdeal) -> ClearingData:
 class FiltrationModule:
     """Level-k span of an ideal: derivative rows over Q[x].
 
-    Columns run from d^k down to d^0 so that Hermite pivots line up with
-    principal symbols.
+    rows is a tuple of rows, each a tuple of k + 1 UniPoly.  Columns run
+    from d^k down to d^0 so that Hermite pivots line up with principal
+    symbols.
     """
 
     kind: str
     k: int
-    rows: Mat
+    rows: tuple
     clearing: ClearingData
 
 
@@ -340,11 +338,10 @@ def span_filtration(gens: FractionalIdeal, k: int,
         raise ValueError("negative filtration level")
     if clearing is None:
         clearing = clearing_for(gens)
-    zero = _PR.zero()
-    rows = [[zero] * (k + 1 - len(row)) + row
-            for level in _levels(_cleared_ops(gens, clearing), k) for row in level]
-    m = Mat.from_rows(_PR, rows) if rows else Mat(_PR, 0, k + 1, ())
-    return FiltrationModule(gens.curve.kind, k, m, clearing)
+    zero = UniPoly("x", [])
+    rows = tuple(tuple([zero] * (k + 1 - len(row)) + row)
+                 for level in _levels(_cleared_ops(gens, clearing), k) for row in level)
+    return FiltrationModule(gens.curve.kind, k, rows, clearing)
 
 
 @dataclass(frozen=True)
@@ -400,7 +397,7 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
         return len(p) - val(p)
 
     def monic(p: list) -> UniPoly:
-        return _poly(_PR.var, list(p), p[-1])
+        return _poly("x", list(p), p[-1])
 
     ambient = min(per_k[-1], key=deg)
     ambient0 = ambient[val(ambient):]
@@ -435,12 +432,8 @@ def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
     if a.clearing != b.clearing:
         raise ValueError("modules cleared differently; build both with a common clearing")
 
-    def reduced(fm: FiltrationModule):
-        h = x_saturate(fm.rows) if fm.kind == TORUS else hnf(fm.rows)[0]
-        return tuple(tuple(h.row(i)) for i in range(h.rows)
-                     if any(not p.is_zero for p in h.row(i)))
-
-    return reduced(a) == reduced(b)
+    reduced = x_saturate if a.kind == TORUS else hnf
+    return reduced(a.rows) == reduced(b.rows)
 
 
 def unit_conjugate(gens: FractionalIdeal, r: int) -> FractionalIdeal:

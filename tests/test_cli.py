@@ -431,6 +431,16 @@ def test_act_at_the_exponent_bound(tmp_path, options):
     assert json.loads(open(acted).read())["Z"] == [["1"]]
 
 
+@pytest.mark.parametrize("n", [True, 1.9, "1", -1, None],
+                         ids=["bool", "float", "string", "negative", "null"])
+def test_exit_1_on_non_integer_n(tmp_path, n):
+    # n is a JSON int >= 0: true, 1.9 and "1" used to be read as n = 1
+    r = _cli_subprocess(["verify", _write(tmp_path, "p.json", dict(_line_point_json(), n=n))])
+    assert r.returncode == 1, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "schema" and "'n'" in err["detail"]
+
+
 def test_exit_1_on_unknown_command(capsys):
     _usage_error(capsys, ["bogus"])
     _usage_error(capsys, [])

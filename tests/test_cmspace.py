@@ -1,7 +1,11 @@
 """Points, relation verification, homological invariants, symmetry actions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +286,38 @@ def test_omega_matches_lambda_on_torus():
     p = torus_points()[2]
     form = OneForm(torus(), BiPoly.const(Fraction(3)), x_shift=-1)
     assert omega_twist(p, form) == lambda_act(p, 3)
+
+
+def test_omega_twist_shift_matches_stepwise_product():
+    # Z + g(X) X^k, the power by repeated squaring, against k factors of X
+    # (of X^-1 for k < 0, torus only) multiplied one at a time
+    form = BiPoly({(0, 0): Fraction(2), (1, 0): Fraction(-1, 3)})  # 2 - x/3
+    for p in line_points() + torus_points():
+        g = omega_twist(p, OneForm(p.curve, form)).Zmat.sub(p.Zmat)
+        for k in range(-5 if p.curve.kind == "Torus" else 0, 6):
+            want = g
+            for _ in range(abs(k)):
+                want = want.mul(p.Xmat if k > 0 else p.Xmat.inv())
+            got = omega_twist(p, OneForm(p.curve, form, x_shift=k))
+            assert got.Zmat == p.Zmat.add(want), (p, k)
+
+
+def test_omega_twist_huge_shift_is_bounded():
+    # the library takes any shift; X**k by repeated squaring makes a shift of
+    # 10**6 at X = [[1]] some 40 products, not a million (stepping once per
+    # unit took about 7 s per sign on a 2-core Xeon)
+    code = ("from fractions import Fraction\n"
+            "from cmforge.cmspace import CMPoint, OneForm, omega_twist\n"
+            "from cmforge.curve import torus\n"
+            "from cmforge.exact import BiPoly, Mat, QQ\n"
+            "one = Mat(QQ, 1, 1, [Fraction(1)])\n"
+            "p = CMPoint(torus(), 1, one, None, Mat(QQ, 1, 1, [Fraction(0)]), [one], [one.neg()])\n"
+            "for k in (10 ** 6, -10 ** 6):\n"
+            "    assert omega_twist(p, OneForm(torus(), BiPoly.const(1), x_shift=k)).Zmat == one\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=5)
+    assert r.returncode == 0, r.stderr
 
 
 def test_omega_form_validation():

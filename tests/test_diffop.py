@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cmforge.curve import affine_line, hyperelliptic, torus
 from cmforge.diffop import Coeff, CoeffRing, DiffOp, FractionalIdeal, coeff_ring_for
 from cmforge.exact import UniPoly
+from polyoracle import mul_xk
 
 PR = CoeffRing()
 LR = coeff_ring_for(torus())  # the same field Q(x): the torus is the line with x inverted
@@ -195,11 +196,11 @@ def localized_elements(ring):
     """Elements p(x) / (x^k q(x)) of ring as (Coeff, (p, k, q)); p often
     carries an x-power of its own."""
     return st.tuples(
-        st.builds(UniPoly.mul_xk, st.lists(fracs, max_size=4).map(lambda cs: UniPoly("x", cs)),
+        st.builds(mul_xk, st.lists(fracs, max_size=4).map(lambda cs: UniPoly("x", cs)),
                   st.integers(0, 3)),
         st.integers(0, 3),
         st.lists(fracs, min_size=1, max_size=3).filter(any).map(lambda cs: UniPoly("x", cs)),
-    ).map(lambda t: (ring.coeff(t[0], den=t[2].mul_xk(t[1])), t))
+    ).map(lambda t: (ring.coeff(t[0], den=mul_xk(t[2], t[1])), t))
 
 
 @pytest.mark.parametrize("ring", [PR, LR], ids=["line-localized", "torus-localized"])

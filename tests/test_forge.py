@@ -15,12 +15,13 @@ from cmforge.cmspace import (CMPoint, commutant_dim, generic_point, lambda_act,
 from cmforge.curve import affine_line, hyperelliptic, plane_curve, torus
 from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, coeff_ring_for
 from cmforge.errors import PreconditionError
-from cmforge.exact import BiPoly, Mat, PolyRing, QQ, UniPoly, char_poly
+from cmforge.exact import BiPoly, Mat, QQ, UniPoly, char_poly
 from cmforge.forge import (OrderedProduct, SymbolicGenerators, _coeff_in,
                            _correction_factors, _lift, _resolvent, _vbar_t,
                            _ypoly_to_coeff, delta_V, ideal_generators, kappa,
                            normal_order)
 from cmforge.lattice import clearing_for, codim, module_equal, span_filtration
+from polyoracle import bareiss_det
 
 # rational functions of one variable: Coeffs of the line's ring RF, which is
 # also the ring of the Mats that hold them
@@ -240,12 +241,21 @@ def test_torus_generators_live_in_laurent_ring():
 
 
 def _oracle_zrow(p, sign):
-    """sign * vbar^t adj(Z^t - z Id) from cofactor determinants."""
-    zpoly = PolyRing("z")
-    shifted = _lift(p.Zmat.transpose(), zpoly).sub(
-        Mat.identity(zpoly, p.n).scalar_mul(zpoly.gen()))
-    zrow = _lift(_vbar_t(p), zpoly).mul(shifted.adjugate()).scalar_mul(zpoly.from_frac(sign))
-    return zrow.map_entries(RF.from_poly, RF)
+    """sign * vbar^t adj(Z^t - z Id), each adjugate entry a cofactor
+    determinant over Q[z] by the test-side Bareiss oracle."""
+    n, z = p.n, UniPoly.x("z")
+    shifted = [[UniPoly.const("z", p.Zmat.entry(j, i)) - (z if i == j else 0)
+                for j in range(n)] for i in range(n)]
+
+    def adj(i, j):  # the cofactor of entry (j, i)
+        minor = [[e for c, e in enumerate(row) if c != i]
+                 for r, row in enumerate(shifted) if r != j]
+        return bareiss_det(minor, "z") * (-1) ** (i + j)
+
+    vbar = _vbar_t(p)
+    return Mat(RF, vbar.rows, n, [
+        RF.from_poly(sum((adj(i, j) * vbar.entry(r, i) for i in range(n)), UniPoly("z", [])) * sign)
+        for r in range(vbar.rows) for j in range(n)])
 
 
 def _oracle_ideal(p):
