@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cache
 
 from . import curve as curvemod
-from .cmspace import (BModule, CMPoint, OneForm, commutant_dim, euler_char,
-                      ext1_dim, generic_point, hom_dim, lambda_act,
-                      omega_twist, tangent_dim, verify_relations)
+from .cmspace import (CMPoint, OneForm, commutant_dim, euler_char, ext1_dim,
+                      generic_point, hom_dim, lambda_act, omega_twist,
+                      tangent_dim, verify_relations)
 from .diffop import DiffOp, FractionalIdeal, clearing_denominator, coeff_ring_for
 from .errors import PreconditionError, SchemaError
 from .exact import BiPoly, Mat, QQ, UniPoly, rat
@@ -257,6 +257,15 @@ def _verify_json(report) -> dict:
 # handlers
 # ---------------------------------------------------------------------------
 
+# the most trials euler and szego-demo run (1000 szego-demo trials take
+# about 8 s on a 2-core Xeon)
+_MAX_TRIALS = 1000
+
+
+def _check_range(option, value, lo, hi) -> None:
+    if not lo <= value <= hi:
+        raise SchemaError("%s must lie in %d..%d" % (option, lo, hi))
+
 
 def _handle_make_point(payload, ns):
     if not isinstance(payload, dict):
@@ -294,7 +303,9 @@ def _handle_codim(payload, ns):
     ideal = _parse_ideal(payload)
     gens = [g for g in ideal.generators if not g.is_zero]
     max_order = max(g.order() for g in gens)
-    kmax = 3 * max_order + 2 if ns.kmax is None else ns.kmax
+    default = 3 * max_order + 2
+    kmax = default if ns.kmax is None else ns.kmax
+    _check_range("--kmax", kmax, 0, 4 * default)
     report = lattice_codim(ideal, kmax)
     ambient = report.ambient_pivot
     if ambient is not None:
@@ -320,8 +331,7 @@ def _handle_act(payload, ns):
     unit_power, omega = ns.unit_power, ns.omega
     if (unit_power is None) == (omega is None):
         raise SchemaError("act needs exactly one of --unit-power or --omega")
-    if abs(ns.x_shift) > _DIGITS:
-        raise SchemaError("--x-shift must lie in -%d..%d" % (_DIGITS, _DIGITS))
+    _check_range("--x-shift", ns.x_shift, -_DIGITS, _DIGITS)
     if unit_power is not None:
         return _point_json(lambda_act(p, rat(_parse_frac(unit_power))))
     try:
@@ -339,18 +349,24 @@ def _handle_commutant(payload, ns):
     return {"commutant_dim": d, "simple": d == 1}
 
 
-def _random_module(rng, nmax=3) -> BModule:
+def _random_module(rng, nmax=3) -> CMPoint:
+    """A framed module on the line with random small entries, drawn as X, Z,
+    then V and W row-major."""
     n = rng.randint(0, nmax)
     k = rng.randint(0, nmax)
 
     def rmat(r, c):
         return Mat(QQ, r, c, [Fraction(rng.randint(-3, 3)) for _ in range(r * c)])
 
-    return BModule(n, k, rmat(n, n), None, rmat(n, n), rmat(n, k), rmat(k, n))
+    X, Z, V, W = rmat(n, n), rmat(n, n), rmat(n, k), rmat(k, n)
+    return CMPoint(curvemod.affine_line(), n, X, None, Z,
+                   [Mat(QQ, n, 1, V.col(j)) for j in range(k)],
+                   [Mat(QQ, 1, n, W.row(i)) for i in range(k)])
 
 
 def _handle_euler(payload, ns):
     seed, trials = ns.seed, ns.trials
+    _check_range("--trials", trials, 0, _MAX_TRIALS)
     rng = random.Random(seed)
     mismatches = []
     for t in range(trials):
@@ -380,6 +396,7 @@ def _random_kernel(rng, degmax=5) -> LocalKernel:
 
 def _handle_szego_demo(payload, ns):
     seed, trials = ns.seed, ns.trials
+    _check_range("--trials", trials, 0, _MAX_TRIALS)
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(trials):

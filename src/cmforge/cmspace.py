@@ -64,16 +64,16 @@ def _map_word(word, delta):
 
 def relation_set(c: "curvemod.CurveModel", n: int, n_pairs: int):
     """Defining relations for rank-n data with n_pairs framing vector pairs."""
-    dd = curvemod.derivation_data(c)
+    zx_words, zy_words = curvemod.derivation_data(c)
     rels = []
     if c.has_y:
         rels.append(Relation("xy-commutator", "mat",
                              [(1, ("X", "Y")), (-1, ("Y", "X"))]))
         eq = [(coeff, ("X",) * r + ("Y",) * s) for (r, s), coeff in c.F.items_sorted()]
         rels.append(Relation("curve-equation", "mat", eq))
-    tables = [("zx-commutator", "X", dd.zx_words)]
-    if dd.zy_words is not None:
-        tables.append(("zy-commutator", "Y", dd.zy_words))
+    tables = [("zx-commutator", "X", zx_words)]
+    if zy_words is not None:
+        tables.append(("zy-commutator", "Y", zy_words))
     for name, t, words in tables:
         terms = [(1, ("Z", t)), (-1, (t, "Z"))]
         for coeff, word in words:
@@ -87,10 +87,13 @@ def relation_set(c: "curvemod.CurveModel", n: int, n_pairs: int):
 
 
 class CMPoint:
-    """Matrix tuple (X, [Y,] Z, v_i, w_i) over Q for a curve model.
+    """Framed module (X, [Y,] Z, v_i, w_i) over Q for a curve model.
 
-    Y is present exactly for plane models.  Construction checks shapes only;
-    use verify_relations for the defining equations.
+    A point is a representation of the framed quiver: X, [Y,] Z act on the
+    vertex space Q^n, and the framing space Q^n_inf maps in by the columns
+    v_i and out by the rows w_i (gathered as V and W).  Y is present exactly
+    for plane models; the framing may be empty.  Construction checks shapes
+    only; use verify_relations for the defining equations.
     """
 
     __slots__ = ("curve", "n", "Xmat", "Ymat", "Zmat", "vs", "ws")
@@ -100,8 +103,8 @@ class CMPoint:
             raise ValueError("negative rank")
         vs = tuple(vs)
         ws = tuple(ws)
-        if len(vs) != len(ws) or not vs:
-            raise ValueError("need matching nonempty framing vector lists")
+        if len(vs) != len(ws):
+            raise ValueError("need matching framing vector lists")
         for m, label in ((Xmat, "X"), (Zmat, "Z")):
             if m.rows != n or m.cols != n:
                 raise ValueError("%s must be %d x %d" % (label, n, n))
@@ -132,8 +135,25 @@ class CMPoint:
         return len(self.vs)
 
     @property
+    def V(self) -> Mat:
+        """The framing columns v_i as one n x n_inf matrix."""
+        return Mat(QQ, self.n_inf, self.n, [e for v in self.vs for e in v.entries]).transpose()
+
+    @property
+    def W(self) -> Mat:
+        """The framing rows w_i as one n_inf x n matrix."""
+        return Mat(QQ, self.n_inf, self.n, [e for w in self.ws for e in w.entries])
+
+    @property
     def weight(self):
         return (Fraction(1), Fraction(-self.n))
+
+    def vertex_actions(self):
+        """X, [Y,] Z: the actions on the vertex space."""
+        acts = [self.Xmat, self.Zmat]
+        if self.Ymat is not None:
+            acts.insert(1, self.Ymat)
+        return acts
 
     def with_z(self, newZ) -> "CMPoint":
         return CMPoint(self.curve, self.n, self.Xmat, self.Ymat, newZ, self.vs, self.ws)
@@ -287,78 +307,8 @@ def generic_point(c: "curvemod.CurveModel", pts, alphas=None) -> CMPoint:
 
 
 # ---------------------------------------------------------------------------
-# framed modules and homological invariants
+# homological invariants of framed modules
 # ---------------------------------------------------------------------------
-
-
-class BModule:
-    """Framed module: vertex space of dim n, framing space of dim n_inf,
-    actions X, [Y,] Z on the vertex space, arrows V: framing -> vertex and
-    W: vertex -> framing (aggregated as n x n_inf and n_inf x n matrices)."""
-
-    __slots__ = ("n", "n_inf", "Xmat", "Ymat", "Zmat", "V", "W")
-
-    def __init__(self, n, n_inf, Xmat, Ymat, Zmat, V, W):
-        if Xmat.rows != n or Xmat.cols != n or Zmat.rows != n or Zmat.cols != n:
-            raise ValueError("vertex actions must be n x n")
-        if Ymat is not None and (Ymat.rows != n or Ymat.cols != n):
-            raise ValueError("Y action must be n x n")
-        if V.rows != n or V.cols != n_inf or W.rows != n_inf or W.cols != n:
-            raise ValueError("framing arrows must be n x n_inf and n_inf x n")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "n_inf", n_inf)
-        object.__setattr__(self, "Xmat", Xmat)
-        object.__setattr__(self, "Ymat", Ymat)
-        object.__setattr__(self, "Zmat", Zmat)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "W", W)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BModule is immutable")
-
-    @classmethod
-    def from_point(cls, p: CMPoint) -> "BModule":
-        k = p.n_inf
-        V = Mat(QQ, p.n, k, [p.vs[j].entry(i, 0) for i in range(p.n) for j in range(k)])
-        W = Mat(QQ, k, p.n, [p.ws[i].entry(0, j) for i in range(k) for j in range(p.n)])
-        return cls(p.n, k, p.Xmat, p.Ymat, p.Zmat, V, W)
-
-    @classmethod
-    def direct_sum(cls, a: "BModule", b: "BModule") -> "BModule":
-        if (a.Ymat is None) != (b.Ymat is None):
-            raise ValueError("summands must share the model shape")
-
-        def block(m1, m2):
-            r1, c1, r2, c2 = m1.rows, m1.cols, m2.rows, m2.cols
-            ent = []
-            for i in range(r1 + r2):
-                for j in range(c1 + c2):
-                    if i < r1 and j < c1:
-                        ent.append(m1.entry(i, j))
-                    elif i >= r1 and j >= c1:
-                        ent.append(m2.entry(i - r1, j - c1))
-                    else:
-                        ent.append(Fraction(0))
-            return Mat(QQ, r1 + r2, c1 + c2, ent)
-
-        Y = None if a.Ymat is None else block(a.Ymat, b.Ymat)
-        return cls(a.n + b.n, a.n_inf + b.n_inf, block(a.Xmat, b.Xmat), Y,
-                   block(a.Zmat, b.Zmat), block(a.V, b.V), block(a.W, b.W))
-
-    def vertex_actions(self):
-        acts = [self.Xmat, self.Zmat]
-        if self.Ymat is not None:
-            acts.insert(1, self.Ymat)
-        return acts
-
-    def __repr__(self):
-        return "BModule(n=%d, n_inf=%d)" % (self.n, self.n_inf)
-
-
-def _as_module(m) -> BModule:
-    if isinstance(m, CMPoint):
-        return BModule.from_point(m)
-    return m
 
 
 def _linear_cols(blocks, shapes):
@@ -400,58 +350,53 @@ def _nullspace_dim(columns) -> int:
     return len(columns) - rational_rank(columns)
 
 
-def commutant_dim(m) -> int:
-    """Dimension of the endomorphism space Hom(m, m): pairs (M, C) with M
+def commutant_dim(p: CMPoint) -> int:
+    """Dimension of the endomorphism space Hom(p, p): pairs (M, C) with M
     commuting with every vertex action, M V = V C and C W = W M.  Value 1
     certifies that the module is simple."""
-    mod = _as_module(m)
-    return hom_dim(mod, mod)
+    return hom_dim(p, p)
 
 
-def hom_dim(U, V) -> int:
-    """dim Hom of framed modules: pairs (f0, finf) intertwining every action
-    and both framing arrows."""
-    mu, mv = _as_module(U), _as_module(V)
-    if (mu.Ymat is None) != (mv.Ymat is None):
+def hom_dim(p: CMPoint, q: CMPoint) -> int:
+    """dim Hom(p, q) of framed modules: pairs (f0, finf) intertwining every
+    action and both framing arrows."""
+    if (p.Ymat is None) != (q.Ymat is None):
         raise ValueError("modules must share the model shape")
-    iu, iv = Mat.identity(QQ, mu.n), Mat.identity(QQ, mv.n)
-    # f0 x - y f0 for each pair of vertex actions (x of mu, y of mv)
-    blocks = [[("f0", 1, iv, x), ("f0", -1, y, iu)]
-              for x, y in zip(mu.vertex_actions(), mv.vertex_actions())]
-    blocks.append([("f0", 1, iv, mu.V),
-                   ("finf", -1, mv.V, Mat.identity(QQ, mu.n_inf))])
-    blocks.append([("finf", 1, Mat.identity(QQ, mv.n_inf), mu.W),
-                   ("f0", -1, mv.W, iu)])
-    shapes = [("f0", mv.n, mu.n), ("finf", mv.n_inf, mu.n_inf)]
+    ip, iq = Mat.identity(QQ, p.n), Mat.identity(QQ, q.n)
+    # f0 x - y f0 for each pair of vertex actions (x of p, y of q)
+    blocks = [[("f0", 1, iq, x), ("f0", -1, y, ip)]
+              for x, y in zip(p.vertex_actions(), q.vertex_actions())]
+    blocks.append([("f0", 1, iq, p.V),
+                   ("finf", -1, q.V, Mat.identity(QQ, p.n_inf))])
+    blocks.append([("finf", 1, Mat.identity(QQ, q.n_inf), p.W),
+                   ("f0", -1, q.W, ip)])
+    shapes = [("f0", q.n, p.n), ("finf", q.n_inf, p.n_inf)]
     return _nullspace_dim(_linear_cols(blocks, shapes))
 
 
-def ext1_dim(U, V) -> int:
+def ext1_dim(p: CMPoint, q: CMPoint) -> int:
     """dim Ext^1 of framed modules, assembled from the five-term exact sequence
 
-        0 -> Hom(U,V) -> Hom_vx(U,V) (+) Hom(U_inf, V_inf)
-          -> Hom(U_inf, C^{dim V}) -> Ext^1(U,V) -> Ext^1_vx(U,V) -> 0
+        0 -> Hom(p,q) -> Hom_vx(p,q) (+) Hom(p_inf, q_inf)
+          -> Hom(p_inf, C^{dim q}) -> Ext^1(p,q) -> Ext^1_vx(p,q) -> 0
 
     with Ext^1_vx taken equal to Hom_vx (the unframed theory's Euler form
     vanishes), so the two vertex terms cancel and
-    ext1 = hom + n_inf(U) * (n(V) - n_inf(V)).  Hence hom - ext1 = euler_char
+    ext1 = hom + n_inf(p) * (n(q) - n_inf(q)).  Hence hom - ext1 = euler_char
     holds by construction, for every input: no check built on it can fail.
     ROADMAP item 1 replaces this with the rank of the explicit complex.
     """
-    mu, mv = _as_module(U), _as_module(V)
-    return hom_dim(mu, mv) + mu.n_inf * (mv.n - mv.n_inf)
+    return hom_dim(p, q) + p.n_inf * (q.n - q.n_inf)
 
 
-def euler_char(U, V) -> int:
+def euler_char(p: CMPoint, q: CMPoint) -> int:
     """Euler form dim Hom - dim Ext^1; depends only on the dimension vectors."""
-    mu, mv = _as_module(U), _as_module(V)
-    return mu.n_inf * (mv.n_inf - mv.n)
+    return p.n_inf * (q.n_inf - q.n)
 
 
-def trace_lift_check(m) -> bool:
+def trace_lift_check(p: CMPoint) -> bool:
     """Weight compatibility: (1, -n) paired with (n, n_inf) must vanish."""
-    mod = _as_module(m)
-    return Fraction(1) * mod.n + Fraction(-mod.n) * mod.n_inf == 0
+    return Fraction(1) * p.n + Fraction(-p.n) * p.n_inf == 0
 
 
 # ---------------------------------------------------------------------------

@@ -110,27 +110,13 @@ def hyperelliptic(P: UniPoly) -> CurveModel:
     return CurveModel(PLANE_CURVE, _y2_minus(P), P)
 
 
-class DerivationData:
+def derivation_data(c: CurveModel):
     """The commutators [z, x] and [z, y] of the distinguished derivation z
-    with the ring generators, as formal words.
+    with the ring generators, as formal words: a pair (zx_words, zy_words).
 
-    Each commutator is a list of (coefficient, word) pairs, a word being a
+    Each commutator is a tuple of (coefficient, word) pairs, a word being a
     tuple over the alphabet {"x", "y", "D"} with "D" the distinguished loop
     element; zy_words is None when the coordinate ring has a single generator.
-    """
-
-    __slots__ = ("zx_words", "zy_words")
-
-    def __init__(self, zx_words, zy_words):
-        object.__setattr__(self, "zx_words", tuple(zx_words))
-        object.__setattr__(self, "zy_words", tuple(zy_words) if zy_words is not None else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DerivationData is immutable")
-
-
-def derivation_data(c: CurveModel) -> DerivationData:
-    """Derivation generator data for the curve model.
 
     AffineLine / Torus: z(x) = 1 and [z, x] = D.
     Plane curve F: z(x) = F'_y, z(y) = -F'_x, with
@@ -140,7 +126,7 @@ def derivation_data(c: CurveModel) -> DerivationData:
     [z,y] = sum_s a_s sum_{l<s} x^(s-l-1) D x^l.
     """
     if c.kind in (AFFINE_LINE, TORUS):
-        return DerivationData([(Fraction(1), ("D",))], None)
+        return ((Fraction(1), ("D",)),), None
     zx = []
     zy = []
     for (r, s), a in c.F.items_sorted():
@@ -148,45 +134,30 @@ def derivation_data(c: CurveModel) -> DerivationData:
             zx.append((a, ("y",) * (s - k - 1) + ("D",) + ("y",) * k + ("x",) * r))
         for l in range(r):
             zy.append((-a, ("y",) * s + ("x",) * (r - l - 1) + ("D",) + ("x",) * l))
-    return DerivationData(zx, zy)
+    return tuple(zx), tuple(zy)
 
 
-class NuKernel:
-    """Two-variable kernel of the derivation embedding, in substitution-ready form.
+def nu_kernel(c: CurveModel):
+    """Kernel of the derivation generator under the canonical embedding, in
+    substitution-ready form: a pair (terms, denom_factors).
 
-    Value: numerator / product of the listed denominator factors, where the
-    numerator is a sum of split terms c * (x^i y^j (x) x^k y^l) with the left
-    leg becoming an operator-symbol monomial and the right leg a matrix in the
-    dual representation.  Denominator factor tags: "x" for the difference of
-    outer and inner x, "y" likewise.  The loop element always maps to 1.
-    """
-
-    __slots__ = ("terms", "denom_factors")
-
-    def __init__(self, terms, denom_factors):
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "denom_factors", tuple(denom_factors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NuKernel is immutable")
-
-
-def nu_kernel(c: CurveModel) -> NuKernel:
-    """Kernel of the derivation generator under the canonical embedding.
+    Its value is a numerator over the product of the denominator factors.
+    The numerator is a sum of split terms c * (x^i y^j (x) x^k y^l), given as
+    the tuple of (c, (i, j), (k, l)); the left leg becomes an operator-symbol
+    monomial and the right leg a matrix in the dual representation.  The
+    denominator factor tags are "x" for the difference of outer and inner x,
+    and "y" likewise.  The loop element always maps to 1.
 
     AffineLine / Torus: 1 / (inner x - outer x).
     Plane curve: -F(outer y, inner x) / ((inner x - outer x)(inner y - outer y)),
     with the hyperelliptic form (outer y + inner y) / (inner x - outer x).
     """
     if c.kind in (AFFINE_LINE, TORUS):
-        return NuKernel([(Fraction(1), (0, 0), (0, 0))], ("x",))
+        return ((Fraction(1), (0, 0), (0, 0)),), ("x",)
     if c.is_hyperelliptic:
         # (y (x) 1 + 1 (x) y) / (1 (x) x - x (x) 1)
-        return NuKernel([(Fraction(1), (0, 1), (0, 0)), (Fraction(1), (0, 0), (0, 1))], ("x",))
-    terms = []
-    for (r, s), a in c.F.items_sorted():
-        terms.append((-a, (0, s), (r, 0)))
-    return NuKernel(terms, ("x", "y"))
+        return ((Fraction(1), (0, 1), (0, 0)), (Fraction(1), (0, 0), (0, 1))), ("x",)
+    return tuple((-a, (0, s), (r, 0)) for (r, s), a in c.F.items_sorted()), ("x", "y")
 
 
 def smoothness_check(c: CurveModel):

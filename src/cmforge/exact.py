@@ -493,7 +493,7 @@ class RationalRing:
         return rat(c)
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)

@@ -27,7 +27,6 @@ can only in kappa and normal_order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exact import Mat, QQ, UniPoly, char_poly, bipoly_apply
 from .errors import PreconditionError
@@ -83,29 +82,6 @@ class OrderedProduct:
             "%s[%dx%d]" % (sym or "const", m.rows, m.cols) for sym, m in self.factors)
 
 
-class KappaElement:
-    """kappa(v_i): a leading scalar plus a sum of ordered-product corrections.
-
-    Multiplying by det(Z - z Id) and normal ordering clears every
-    z-denominator on the supported models.
-    """
-
-    __slots__ = ("curve", "index", "leading", "products")
-
-    def __init__(self, curve_model, index, leading, products):
-        object.__setattr__(self, "curve", curve_model)
-        object.__setattr__(self, "index", int(index))
-        object.__setattr__(self, "leading", Fraction(leading))
-        object.__setattr__(self, "products", tuple(products))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KappaElement is immutable")
-
-    def __repr__(self):
-        return "KappaElement(%r, i=%d, %d correction terms)" % (
-            self.curve, self.index, len(self.products))
-
-
 class SymbolicGenerators:
     """Generator emission for a general plane model, kept symbolic.
 
@@ -149,29 +125,16 @@ def _resolvent(A: Mat, t: str) -> Mat:
                            for i in range(n) for j in range(n)])
 
 
-def _framing_sum(p: CMPoint) -> Mat:
-    acc = Mat.zeros(QQ, p.n, p.n)
-    for v, w in zip(p.vs, p.ws):
-        acc = acc.add(v.mul(w))
-    return acc.transpose()
-
-
-def _vbar_t(p: CMPoint) -> Mat:
-    """Aggregated framing columns, transposed: n_inf x n."""
-    return Mat(QQ, p.n_inf, p.n,
-               [p.vs[a].entry(b, 0) for a in range(p.n_inf) for b in range(p.n)])
-
-
-def _numerator_factor(p: CMPoint, ker) -> Mat | None:
+def _numerator_factor(p: CMPoint, terms, denom_factors) -> Mat | None:
     """Numerator legs of the nu kernel, substituted: a Mat over Q(y) (or Q)."""
     n = p.n
-    uses_y = any(j or l for _, (_, j), (_, l) in ker.terms) or "y" in ker.denom_factors
+    uses_y = any(j or l for _, (_, j), (_, l) in terms) or "y" in denom_factors
     ring = _RF if uses_y else QQ
     Xt = p.Xmat.transpose()
     Yt = p.Ymat.transpose() if p.Ymat is not None else None
     acc = Mat.zeros(ring, n, n)
     trivial = True
-    for coeff, (i, j), (k, l) in ker.terms:
+    for coeff, (i, j), (k, l) in terms:
         if i:
             raise ValueError("left-leg x powers are not produced by any model")
         term = Mat.identity(QQ, n)
@@ -187,7 +150,7 @@ def _numerator_factor(p: CMPoint, ker) -> Mat | None:
                 scale = scale * y
         acc = acc.add(term.scalar_mul(scale))
         trivial = trivial and not (j or k or l) and coeff == 1
-    if trivial and len(ker.terms) == 1:
+    if trivial and len(terms) == 1:
         return None
     return acc
 
@@ -195,17 +158,17 @@ def _numerator_factor(p: CMPoint, ker) -> Mat | None:
 def delta_V(p: CMPoint) -> OrderedProduct:
     """Substitute the transposed representation into the nu kernel and close
     with the framing matrix: delta_V(d) = nu_V(d)[sum_i v_i w_i]."""
-    ker = curvemod.nu_kernel(p.curve)
+    terms, denom_factors = curvemod.nu_kernel(p.curve)
     factors = []
-    if "x" in ker.denom_factors:
+    if "x" in denom_factors:
         factors.append(("x", _resolvent(p.Xmat.transpose(), "x")))
-    num = _numerator_factor(p, ker)
-    if "y" in ker.denom_factors:
+    num = _numerator_factor(p, terms, denom_factors)
+    if "y" in denom_factors:
         res_y = _resolvent(p.Ymat.transpose(), "y")
         factors.append(("y", res_y.mul(num) if num is not None else res_y))
     elif num is not None:
         factors.append((None if num.ring == QQ else "y", num))
-    factors.append((None, _framing_sum(p)))
+    factors.append((None, p.V.mul(p.W).transpose()))
     return OrderedProduct(factors)
 
 
@@ -233,16 +196,20 @@ def _kappa_sign(c) -> int:
     return 1 if (c.has_y and not c.is_hyperelliptic) else -1
 
 
-def kappa(p: CMPoint, i: int = 0) -> KappaElement:
-    """Correction element kappa(v_i) in closed form for the curve model."""
+def kappa(p: CMPoint, i: int = 0) -> OrderedProduct | None:
+    """Correction of kappa(v_i) in closed form for the curve model:
+    kappa(v_i) = 1 + the returned ordered product, or 1 (None) at n = 0.
+
+    Multiplying by det(Z - z Id) and normal ordering clears every
+    z-denominator on the supported models.
+    """
     if not 0 <= i < p.n_inf:
         raise ValueError("framing index out of range")
     if p.n == 0:
-        return KappaElement(p.curve, i, 1, ())
-    zfac = _lift(_vbar_t(p), _RF).mul(_resolvent(p.Zmat.transpose(), "z"))
+        return None
+    zfac = _lift(p.V.transpose(), _RF).mul(_resolvent(p.Zmat.transpose(), "z"))
     zfac = zfac.scalar_mul(_RF.from_frac(_kappa_sign(p.curve)))
-    return KappaElement(p.curve, i, 1,
-                        (OrderedProduct(_correction_factors(p, i, zfac)),))
+    return OrderedProduct(_correction_factors(p, i, zfac))
 
 
 # ---------------------------------------------------------------------------

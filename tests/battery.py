@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from cmforge.cmspace import CMPoint, generic_point
 from cmforge.curve import affine_line, hyperelliptic, torus
-from cmforge.exact import UniPoly
+from cmforge.exact import Mat, QQ, UniPoly
 
 
 def cubic_plus_one():
@@ -50,6 +50,39 @@ def fourier_points():
 
 def full_battery():
     return line_points() + torus_points() + hyper_points()
+
+
+def framed_module(X, Z, V, W, Y=None, curve=None):
+    """The point on curve (default the line) with vertex actions X, [Y,] Z
+    and framing arrows V (n x n_inf, the v_i as columns) and W (n_inf x n,
+    the w_i as rows)."""
+    n = X.rows
+    return CMPoint(curve or affine_line(), n, X, Y, Z,
+                   [Mat(QQ, n, 1, V.col(j)) for j in range(V.cols)],
+                   [Mat(QQ, 1, n, W.row(i)) for i in range(W.rows)])
+
+
+def direct_sum(a, b):
+    """The framed module a (+) b: block-diagonal actions and framing arrows."""
+    if a.curve != b.curve:
+        raise ValueError("summands must share the curve")
+
+    def block(m1, m2):
+        r1, c1, r2, c2 = m1.rows, m1.cols, m2.rows, m2.cols
+        ent = []
+        for i in range(r1 + r2):
+            for j in range(c1 + c2):
+                if i < r1 and j < c1:
+                    ent.append(m1.entry(i, j))
+                elif i >= r1 and j >= c1:
+                    ent.append(m2.entry(i - r1, j - c1))
+                else:
+                    ent.append(Fraction(0))
+        return Mat(QQ, r1 + r2, c1 + c2, ent)
+
+    Y = None if a.Ymat is None else block(a.Ymat, b.Ymat)
+    return framed_module(block(a.Xmat, b.Xmat), block(a.Zmat, b.Zmat),
+                         block(a.V, b.V), block(a.W, b.W), Y, a.curve)
 
 
 def q(v):

@@ -14,10 +14,10 @@ import time
 from fractions import Fraction
 from math import gcd, lcm
 
-from battery import (cubic_plus_one, full_battery, hyper_points, line_points,
-                     torus_points)
+from battery import (cubic_plus_one, framed_module, full_battery, hyper_points,
+                     line_points, torus_points)
 from cmforge.cli import main
-from cmforge.cmspace import (BModule, OneForm, commutant_dim, euler_char,
+from cmforge.cmspace import (OneForm, commutant_dim, euler_char,
                              ext1_dim, hom_dim, lambda_act, omega_twist,
                              tangent_dim, trace_lift_check, verify_relations)
 from cmforge.curve import TORUS, torus
@@ -69,7 +69,7 @@ def _random_module(rng):
     def m(r, c):
         return Mat(QQ, r, c, [Fraction(rng.randint(-3, 3)) for _ in range(r * c)])
 
-    return BModule(n, k, m(n, n), None, m(n, n), m(n, k), m(k, n))
+    return framed_module(m(n, n), m(n, n), m(n, k), m(k, n))
 
 
 def test_criterion_04_euler_characteristic():
@@ -88,7 +88,7 @@ def test_criterion_05_trace_lifting():
         assert trace_lift_check(p)  # dims (n, 1) at weight (1, -n)
     for n in (1, 2, 3):
         zero = Mat.zeros(QQ, n, n)
-        bare = BModule(n, 0, zero, None, zero, Mat(QQ, n, 0, []), Mat(QQ, 0, n, []))
+        bare = framed_module(zero, zero, Mat(QQ, n, 0, []), Mat(QQ, 0, n, []))
         assert not trace_lift_check(bare)  # dims (n, 0) must fail
     _report(5, "trace-lifting", t0, 1)
 

@@ -431,6 +431,53 @@ def test_act_at_the_exponent_bound(tmp_path, options):
     assert json.loads(open(acted).read())["Z"] == [["1"]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["euler", "--trials", "-3"],
+    ["euler", "--trials", "1001"],
+    ["euler", "--trials", "100000000"],
+    ["szego-demo", "--trials", "-1"],
+    ["szego-demo", "--trials", "100000000"],
+], ids=["euler-negative", "euler-above-bound", "euler-huge", "szego-negative", "szego-huge"])
+def test_exit_1_on_trials_out_of_range(argv):
+    # --trials lies in 0..1000; anything else is rejected before any trial
+    r = _cli_subprocess(argv)
+    assert r.returncode == 1, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "schema" and "--trials must lie in 0..1000" in err["detail"]
+
+
+@pytest.mark.parametrize("argv", [["euler", "--trials", "1000"], ["szego-demo", "--trials", "0"]],
+                         ids=["euler-1000", "szego-0"])
+def test_trials_at_the_bound(tmp_path, argv):
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["-o", out]) == 0
+    assert json.loads(open(out).read())["trials"] == int(argv[-1])
+
+
+def _rank1_ideal(tmp_path):
+    # the rank-1 line ideal: order 1, so the default kmax is 5 and the
+    # largest accepted 4 * 5 = 20
+    ideal = str(tmp_path / "ideal.json")
+    assert main(["forge", _write(tmp_path, "p.json", _line_point_json()), "-o", ideal]) == 0
+    return ideal
+
+
+@pytest.mark.parametrize("kmax", ["-1", "21", "1000000000"], ids=["negative", "above-bound", "huge"])
+def test_exit_1_on_kmax_out_of_range(tmp_path, kmax):
+    # 0 <= --kmax <= 4 * (3 * maxorder + 2), checked before any lattice work
+    r = _cli_subprocess(["codim", _rank1_ideal(tmp_path), "--kmax", kmax])
+    assert r.returncode == 1, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "schema" and "--kmax must lie in 0..20" in err["detail"]
+
+
+@pytest.mark.parametrize("kmax", [0, 20])
+def test_codim_at_the_kmax_bounds(tmp_path, kmax):
+    out = str(tmp_path / "c.json")
+    assert main(["codim", _rank1_ideal(tmp_path), "--kmax", str(kmax), "-o", out]) == 0
+    assert json.loads(open(out).read())["kmax"] == kmax
+
+
 @pytest.mark.parametrize("n", [True, 1.9, "1", -1, None],
                          ids=["bool", "float", "string", "negative", "null"])
 def test_exit_1_on_non_integer_n(tmp_path, n):

@@ -216,6 +216,17 @@ def test_mat_inv_singular_rejected():
         m.inv()
 
 
+def test_mat_int_entries_stay_exact():
+    # Mat does not coerce its entries; QQ.inv must still return a Fraction
+    # for an int, or inv and rref of an int matrix come out as floats
+    ints = Mat(QQ, 2, 2, [1, 2, 3, 4])
+    fracs = Mat(QQ, 2, 2, [Fraction(v) for v in (1, 2, 3, 4)])
+    inv, (rows, pivots), det = ints.inv(), ints.rref(), ints.det()
+    assert inv == fracs.inv() and (rows, pivots) == fracs.rref() and det == fracs.det()
+    entries = list(inv.entries) + [e for row in rows for e in row] + [det]
+    assert all(type(e) is Fraction for e in entries), entries
+
+
 # --- sympy oracle (sympy is a test-only dependency) ---------------------------
 
 big_fracs = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))

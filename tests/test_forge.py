@@ -17,7 +17,7 @@ from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, coeff_ring_for
 from cmforge.errors import PreconditionError
 from cmforge.exact import BiPoly, Mat, QQ, UniPoly, char_poly
 from cmforge.forge import (OrderedProduct, SymbolicGenerators, _coeff_in,
-                           _correction_factors, _lift, _resolvent, _vbar_t,
+                           _correction_factors, _lift, _resolvent,
                            _ypoly_to_coeff, delta_V, ideal_generators, kappa,
                            normal_order)
 from cmforge.lattice import clearing_for, codim, module_equal, span_filtration
@@ -58,10 +58,7 @@ def test_delta_v_line_n1():
 
 def test_kappa_line_n1():
     # kappa(v) = 1 + (1/z) (-1/x) (-1) at the origin point
-    kp = kappa(line_points()[0])
-    assert kp.leading == 1
-    assert len(kp.products) == 1
-    prod = kp.products[0]
+    prod = kappa(line_points()[0])
     assert prod.symbols() == ("z", "x", None)
     zf = prod.factors[0][1].entry(0, 0)
     assert zf.a == UniPoly.const("z", 1) and zf.den == UniPoly.x("z")
@@ -110,10 +107,8 @@ def test_general_route_pinned_values():
     pts.append(("parabola", _parabola_point()))
     assert sorted(pins) == sorted(name for name, _ in pts)
     for name, p in pts:
-        kp = kappa(p)
-        assert kp.leading == 1 and len(kp.products) == 1
         assert _factor_fields(delta_V(p)) == pins[name]["delta_V"], name
-        assert _factor_fields(kp.products[0]) == pins[name]["kappa"], name
+        assert _factor_fields(kappa(p)) == pins[name]["kappa"], name
     correction = ideal_generators(_parabola_point()).correction
     assert _factor_fields(correction) == pins["parabola"]["correction"]
 
@@ -121,6 +116,12 @@ def test_general_route_pinned_values():
 def test_kappa_index_bounds():
     with pytest.raises(ValueError):
         kappa(line_points()[0], 1)
+
+
+def test_kappa_rank_zero_has_no_correction():
+    empty = Mat(QQ, 0, 0, [])
+    p = CMPoint(affine_line(), 0, empty, None, empty, [Mat(QQ, 0, 1, [])], [Mat(QQ, 1, 0, [])])
+    assert kappa(p) is None
 
 
 def test_normal_order_plain_z_polynomial():
@@ -252,7 +253,7 @@ def _oracle_zrow(p, sign):
                  for r, row in enumerate(shifted) if r != j]
         return bareiss_det(minor, "z") * (-1) ** (i + j)
 
-    vbar = _vbar_t(p)
+    vbar = p.V.transpose()
     return Mat(RF, vbar.rows, n, [
         RF.from_poly(sum((adj(i, j) * vbar.entry(r, i) for i in range(n)), UniPoly("z", [])) * sign)
         for r in range(vbar.rows) for j in range(n)])

@@ -422,9 +422,16 @@ def test_fitting_identity():
 
 
 def test_order0_pivot_is_gx_times_multiplier():
-    # neither codim nor the Fitting identity sees forge's order-0 generator
-    # gx = prod (x - x_i); the last Hermite row of the span does: it is the
-    # order-0 part, its pivot gx * s**M (x-powers, units on the torus, dropped)
+    """Neither codim nor the Fitting identity sees forge's order-0 generator
+    gx = prod (x - x_i); the last Hermite row of the span does: it is the
+    order-0 part, its pivot gx * s**M (x-powers, units on the torus, dropped).
+
+    This covers semisimple X only: a generic_point's X is diagonal with
+    distinct eigenvalues, so gx is squarefree.  At the Fourier points of
+    tests/battery.py the order-0 pivot over s**M is the squarefree part of
+    char_poly(X) (x, x - 2 and x^3 + 9/4 x against x^2, (x - 2)^2 and
+    x^3 + 9/4 x), which this test does not assert.
+    """
     for c, xs in _LADDER_XS:
         for n in range(1, 5):
             p = generic_point(c, xs[:n])
