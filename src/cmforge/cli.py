@@ -518,9 +518,6 @@ def main(argv=None) -> int:
             report["report"] = _verify_json(e.report)
         _emit_error(report)
         return 2
-    except ValueError as e:
-        _emit_error({"error": "precondition", "detail": str(e)})
-        return 2
     except Exception as e:
         _emit_error({"error": "internal", "detail": "%s: %s" % (type(e).__name__, e)})
         return 3

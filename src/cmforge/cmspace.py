@@ -9,9 +9,10 @@ tangent space, Hom/Ext dimensions) and applies the symmetry actions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat, QQ, rat, bipoly_apply, rational_rank
+from .exact import BiPoly, Mat, QQ, rat, bipoly_apply, rational_rank
 from .errors import PreconditionError
 from . import curve as curvemod
 
@@ -28,16 +29,16 @@ from . import curve as curvemod
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Relation:
-    __slots__ = ("name", "shape", "terms")
+    """A named sum of coefficient-weighted words of one shape."""
 
-    def __init__(self, name, shape, terms):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "terms", tuple((rat(c), tuple(w)) for c, w in terms))
+    name: str
+    shape: str
+    terms: tuple
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple((rat(c), tuple(w)) for c, w in self.terms))
 
     def __repr__(self):
         return "Relation(%s, %d terms)" % (self.name, len(self.terms))
@@ -86,6 +87,7 @@ def relation_set(c: "curvemod.CurveModel", n: int, n_pairs: int):
     return rels
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CMPoint:
     """Framed module (X, [Y,] Z, v_i, w_i) over Q for a curve model.
 
@@ -96,19 +98,26 @@ class CMPoint:
     only; use verify_relations for the defining equations.
     """
 
-    __slots__ = ("curve", "n", "Xmat", "Ymat", "Zmat", "vs", "ws")
+    curve: curvemod.CurveModel
+    n: int
+    Xmat: Mat
+    Ymat: Mat | None
+    Zmat: Mat
+    vs: tuple
+    ws: tuple
 
-    def __init__(self, curve_model, n, Xmat, Ymat, Zmat, vs, ws):
+    def __post_init__(self):
+        n, Xmat, Ymat, Zmat = self.n, self.Xmat, self.Ymat, self.Zmat
         if n < 0:
             raise ValueError("negative rank")
-        vs = tuple(vs)
-        ws = tuple(ws)
+        vs = tuple(self.vs)
+        ws = tuple(self.ws)
         if len(vs) != len(ws):
             raise ValueError("need matching framing vector lists")
         for m, label in ((Xmat, "X"), (Zmat, "Z")):
             if m.rows != n or m.cols != n:
                 raise ValueError("%s must be %d x %d" % (label, n, n))
-        if curve_model.has_y:
+        if self.curve.has_y:
             if Ymat is None or Ymat.rows != n or Ymat.cols != n:
                 raise ValueError("plane models need an n x n Y matrix")
         elif Ymat is not None:
@@ -119,16 +128,8 @@ class CMPoint:
         for w in ws:
             if w.rows != 1 or w.cols != n:
                 raise ValueError("framing rows must be 1 x n")
-        object.__setattr__(self, "curve", curve_model)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "Xmat", Xmat)
-        object.__setattr__(self, "Ymat", Ymat)
-        object.__setattr__(self, "Zmat", Zmat)
         object.__setattr__(self, "vs", vs)
         object.__setattr__(self, "ws", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CMPoint is immutable")
 
     @property
     def n_inf(self) -> int:
@@ -170,14 +171,6 @@ class CMPoint:
         kind, i = sym
         return self.vs[i] if kind == "v" else self.ws[i]
 
-    def __eq__(self, other):
-        if not isinstance(other, CMPoint):
-            return NotImplemented
-        return (self.curve == other.curve and self.n == other.n
-                and self.Xmat == other.Xmat and self.Ymat == other.Ymat
-                and self.Zmat == other.Zmat and self.vs == other.vs
-                and self.ws == other.ws)
-
     def __repr__(self):
         return "CMPoint(%r, n=%d)" % (self.curve, self.n)
 
@@ -202,16 +195,14 @@ def _word_products(p: CMPoint):
     return product
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class VerifyReport:
     """Named residual checks; ok iff every residual vanishes."""
 
-    __slots__ = ("entries",)
+    entries: tuple
 
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerifyReport is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def ok(self) -> bool:
@@ -429,25 +420,23 @@ def tangent_dim(p: CMPoint) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class OneForm:
     """Regular one-form datum g(x, y): the twist sends Z to Z + g(X, Y).
 
     x_shift < 0 represents a Laurent coefficient x^x_shift * g (torus only).
     """
 
-    __slots__ = ("curve", "coefficient", "x_shift")
+    curve: curvemod.CurveModel
+    coefficient: BiPoly
+    x_shift: int = 0
 
-    def __init__(self, curve_model, coefficient, x_shift=0):
-        if x_shift < 0 and curve_model.kind != curvemod.TORUS:
-            raise ValueError("negative x-powers need the torus model")
-        if coefficient.degree_y() > 0 and not curve_model.has_y:
-            raise ValueError("y-dependent coefficient needs a plane model")
-        object.__setattr__(self, "curve", curve_model)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "x_shift", int(x_shift))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
+    def __post_init__(self):
+        if self.x_shift < 0 and self.curve.kind != curvemod.TORUS:
+            raise PreconditionError("negative x-powers need the torus model")
+        if self.coefficient.degree_y() > 0 and not self.curve.has_y:
+            raise PreconditionError("y-dependent coefficient needs a plane model")
+        object.__setattr__(self, "x_shift", int(self.x_shift))
 
 
 def lambda_act(p: CMPoint, r) -> CMPoint:
@@ -457,7 +446,7 @@ def lambda_act(p: CMPoint, r) -> CMPoint:
     only, at points where X is invertible.
     """
     if p.curve.kind != curvemod.TORUS:
-        raise ValueError("the one-parameter action is defined on the torus only")
+        raise PreconditionError("the one-parameter action is defined on the torus only")
     r = rat(r)
     return p.with_z(p.Zmat.add(_x_inverse(p).scalar_mul(r)))
 

@@ -16,11 +16,14 @@ may be held in any variable name (forge keeps its x-, y- and z-resolvents so).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import UniPoly, rat
 from . import curve as curvemod
 
+
+@dataclass(frozen=True, slots=True, repr=False)
 class CoeffRing:
     """The curve's coefficient field, as a Mat field.
 
@@ -31,21 +34,7 @@ class CoeffRing:
     hyperelliptic ring z(x) = 2y and z(y) = P'(x), so z(y^2 - P) = 0.
     """
 
-    __slots__ = ("P",)
-
-    def __init__(self, P: UniPoly | None = None):
-        object.__setattr__(self, "P", P)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoeffRing is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffRing):
-            return NotImplemented
-        return self.P == other.P
-
-    def __hash__(self):
-        return hash(self.P)
+    P: UniPoly | None = None
 
     # element constructors -------------------------------------------------
 
@@ -393,25 +382,18 @@ def clearing_denominator(ops) -> UniPoly:
     return den
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FractionalIdeal:
     """Finite generator list of operators over the curve's coefficient ring."""
 
-    __slots__ = ("curve", "generators")
+    curve: curvemod.CurveModel
+    generators: tuple
 
-    def __init__(self, curve_model, generators):
-        gens = tuple(generators)
+    def __post_init__(self):
+        gens = tuple(self.generators)
         if not any(not g.is_zero for g in gens):
             raise ValueError("a fractional ideal needs at least one nonzero generator")
-        object.__setattr__(self, "curve", curve_model)
         object.__setattr__(self, "generators", gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionalIdeal is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, FractionalIdeal):
-            return NotImplemented
-        return self.curve == other.curve and self.generators == other.generators
 
     def __repr__(self):
         return "FractionalIdeal(%r, %d generators)" % (self.curve, len(self.generators))

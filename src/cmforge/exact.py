@@ -12,6 +12,7 @@ is a ``diffop.Coeff``.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -480,6 +481,10 @@ def bipoly_apply(f: BiPoly, a: "Mat", b: "Mat | None" = None) -> "Mat":
     return out
 
 
+# frozen without slots: with slots=True, Python 3.10 and 3.11 raise a
+# TypeError from super() on assigning a name that is not a field, and QQ has
+# no fields
+@dataclass(frozen=True)
 class RationalRing:
     """The rationals as a Mat field."""
 
@@ -494,12 +499,6 @@ class RationalRing:
 
     def inv(self, a):
         return Fraction(1) / a
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("QQ")
 
 
 QQ = RationalRing()

@@ -27,6 +27,7 @@ can only in kappa and normal_order.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .exact import Mat, QQ, UniPoly, char_poly, bipoly_apply
 from .errors import PreconditionError
@@ -39,6 +40,7 @@ _SYMBOLS = (None, "x", "y", "z")
 _RF = CoeffRing()
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class OrderedProduct:
     """Left-to-right product of matrix factors.
 
@@ -48,10 +50,10 @@ class OrderedProduct:
     Adjacent factors carry distinct symbols unless one is scalar.
     """
 
-    __slots__ = ("factors",)
+    factors: tuple
 
-    def __init__(self, factors):
-        fs = tuple((sym, m) for sym, m in factors)
+    def __post_init__(self):
+        fs = tuple((sym, m) for sym, m in self.factors)
         for sym, _ in fs:
             if sym not in _SYMBOLS:
                 raise ValueError("unknown factor symbol %r" % (sym,))
@@ -62,9 +64,6 @@ class OrderedProduct:
             if m1.cols != m2.rows:
                 raise ValueError("factor shapes do not chain")
         object.__setattr__(self, "factors", fs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedProduct is immutable")
 
     @property
     def rows(self) -> int:
@@ -82,6 +81,7 @@ class OrderedProduct:
             "%s[%dx%d]" % (sym or "const", m.rows, m.cols) for sym, m in self.factors)
 
 
+@dataclass(frozen=True, slots=True)
 class SymbolicGenerators:
     """Generator emission for a general plane model, kept symbolic.
 
@@ -91,17 +91,11 @@ class SymbolicGenerators:
     here (documented limitation).
     """
 
-    __slots__ = ("curve", "gen_x", "gen_y", "det_z", "correction")
-
-    def __init__(self, curve_model, gen_x, gen_y, det_z, correction):
-        object.__setattr__(self, "curve", curve_model)
-        object.__setattr__(self, "gen_x", gen_x)
-        object.__setattr__(self, "gen_y", gen_y)
-        object.__setattr__(self, "det_z", det_z)
-        object.__setattr__(self, "correction", correction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicGenerators is immutable")
+    curve: curvemod.CurveModel
+    gen_x: UniPoly
+    gen_y: UniPoly
+    det_z: UniPoly
+    correction: OrderedProduct | None
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +383,17 @@ def ideal_generators(p: CMPoint):
     Returns a FractionalIdeal over the curve's coefficient ring for the
     line, torus and hyperelliptic models; a SymbolicGenerators container for
     a general plane model.  Requires the trivial-ideal tier (one framing
-    pair); the general tier stays at the kappa level.
+    pair), the general tier staying at the kappa level, and a nonconstant P
+    on a hyperelliptic curve.
     """
     report = verify_relations(p)
     if not report.ok:
         raise PreconditionError("point fails the defining relations: %r" % (report,),
                                 report)
     c = p.curve
+    if c.is_hyperelliptic and c.hyperelliptic_P.degree() <= 0:
+        raise PreconditionError("Q(x)[y]/(y^2 - P) is a field only for a nonconstant P; "
+                                "this curve has P = %s" % (c.hyperelliptic_P,))
     general_plane = c.has_y and not c.is_hyperelliptic
     ring = None if general_plane else coeff_ring_for(c)
 
@@ -406,8 +404,8 @@ def ideal_generators(p: CMPoint):
                                       UniPoly.const("z", 1), None)
         return FractionalIdeal(c, [DiffOp(ring, [ring.one()])])
     if p.n_inf != 1:
-        raise ValueError("generator emission needs the trivial-ideal tier "
-                         "(one framing pair); use kappa for the general tier")
+        raise PreconditionError("generator emission needs the trivial-ideal tier "
+                                "(one framing pair); use kappa for the general tier")
 
     gx = char_poly(p.Xmat, "x")
     det_z = char_poly(p.Zmat, "z")

@@ -206,7 +206,7 @@ def _reduce(row: list, s: int, q: list, prow: list, shift: int, laurent: bool) -
     return _strip(out) if laurent else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClearingData:
     """Right multiplier den**power clearing every generator to Q[x] rows.
 
@@ -244,7 +244,7 @@ def clearing_for(*ideals: FractionalIdeal) -> ClearingData:
         raise ValueError("clearing_for needs at least one ideal")
     gens = [g for ideal in ideals for g in ideal.generators if not g.is_zero]
     if any(c.b is not None for g in gens for c in g.coeffs):
-        raise ValueError("lattice clearing handles line and torus coefficients only")
+        raise PreconditionError("lattice clearing handles line and torus coefficients only")
     den = clearing_denominator(gens)
     top: dict[UniPoly, int] = {}  # each nonconstant denominator, its highest d^j
     for g in gens:
@@ -262,7 +262,7 @@ def clearing_for(*ideals: FractionalIdeal) -> ClearingData:
     return ClearingData(s, power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiltrationModule:
     """Level-k span of an ideal: derivative rows over Q[x].
 
@@ -344,7 +344,7 @@ def span_filtration(gens: FractionalIdeal, k: int,
     return FiltrationModule(gens.curve.kind, k, rows, clearing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodimReport:
     """Codimension of the span inside the ambient rank-one lattice, per level.
 

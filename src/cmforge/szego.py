@@ -5,51 +5,41 @@ acts on a polynomial f through the coefficient of (z2 - z1)^(m-1) in the
 expansion of f(z2) phi(z1, z2) about the diagonal.  Half-form weights are
 purely formal (the dz^(1/2) tag never materializes); the square root of a
 coordinate change only ever appears through the product w'(z1) w'(z2),
-whose constant term is an exact rational square.
+whose constant term w'(0)^2 is an exact rational square.  Its root is taken
+as w'(0), not |w'(0)|: the product of the two half-form factors is w'(0) on
+the diagonal at the origin.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .exact import BiPoly, UniPoly
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LocalKernel:
     """Kernel phi(z1, z2)/(z1 - z2)^m; phi polynomial, pole order m >= 1."""
 
-    __slots__ = ("phi", "pole_order")
+    phi: BiPoly
+    pole_order: int
 
-    def __init__(self, phi: BiPoly, pole_order: int):
-        if pole_order < 1:
+    def __post_init__(self):
+        if self.pole_order < 1:
             raise ValueError("pole order must be at least 1")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "pole_order", int(pole_order))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalKernel is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalKernel):
-            return NotImplemented
-        return self.phi == other.phi and self.pole_order == other.pole_order
+        object.__setattr__(self, "pole_order", int(self.pole_order))
 
     def __repr__(self):
         return "LocalKernel(%r, pole_order=%d)" % (self.phi, self.pole_order)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class HalfFormOp:
     """First-order operator f -> a f' + b f on half-form coefficients."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: UniPoly, b: UniPoly):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfFormOp is immutable")
+    a: UniPoly
+    b: UniPoly
 
     def apply(self, f: UniPoly) -> UniPoly:
         return self.a * f.derivative() + self.b * f
@@ -63,11 +53,6 @@ class HalfFormOp:
             terms[(i, 1)] = terms.get((i, 1), Fraction(0)) + c
             terms[(i + 1, 0)] = terms.get((i + 1, 0), Fraction(0)) - c
         return LocalKernel(BiPoly(terms), 2)
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfFormOp):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
 
     def __repr__(self):
         return "HalfFormOp(a=%r, b=%r)" % (self.a, self.b)
@@ -103,15 +88,6 @@ def _trunc(p: BiPoly, dz: int, de: int) -> BiPoly:
     return BiPoly({k: c for k, c in p.terms.items() if k[0] <= dz and k[1] <= de})
 
 
-def _rat_sqrt(c: Fraction) -> Fraction:
-    if c <= 0:
-        raise ValueError("square root of a non-positive constant term")
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
-        raise ValueError("constant term %s is not a rational square" % (c,))
-    return Fraction(rn, rd)
-
-
 def _inv_series(u: BiPoly, dz: int, de: int) -> BiPoly:
     c = u.terms.get((0, 0), Fraction(0))
     if c == 0:
@@ -127,9 +103,9 @@ def _inv_series(u: BiPoly, dz: int, de: int) -> BiPoly:
     return _trunc(out * BiPoly.const(1 / c), dz, de)
 
 
-def _sqrt_series(u: BiPoly, dz: int, de: int) -> BiPoly:
-    c = u.terms.get((0, 0), Fraction(0))
-    root = _rat_sqrt(c)
+def _sqrt_series(u: BiPoly, root: Fraction, dz: int, de: int) -> BiPoly:
+    """The square root of u whose constant term is root (root**2 that of u)."""
+    c = root * root
     t = _trunc(u * BiPoly.const(1 / c) - BiPoly.const(1), dz, de)
     out = BiPoly.const(1)
     power = BiPoly.const(1)    # binomial series for (1 + t)^(1/2)
@@ -150,8 +126,10 @@ def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
         S = w'(z1)^(1/2) w'(z2)^(1/2) (z1 - z2) / (w(z1) - w(z2))
     must equal 1 + O((z1 - z2)^2): the constant row 1 says the transformed
     kernel has the same diagonal singularity, the vanishing linear row says
-    the correction is symmetric and vanishes on the diagonal.  Computed in
-    the series ring truncated at z-degree `order`, e-degree 2.
+    the correction is symmetric and vanishes on the diagonal.  The square
+    root is the branch with constant term w'(0), so S holds for a w that
+    reverses orientation too.  Computed in the series ring truncated at
+    z-degree `order`, e-degree 2.
     """
     w = param_change
     wp = w.derivative()
@@ -161,7 +139,7 @@ def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
     a = BiPoly({(i, 0): c for i, c in enumerate(wp.coeffs)})
     # w'(z + e): w' in the second slot, shifted by the first
     b = _trunc(BiPoly({(0, i): c for i, c in enumerate(wp.coeffs)}).subs_second_shift(), dz, de)
-    s = _sqrt_series(_trunc(a * b, dz, de), dz, de)
+    s = _sqrt_series(_trunc(a * b, dz, de), wp.coeffs[0], dz, de)
     # (z1 - z2)/(w(z1) - w(z2)) = 1/q with q = (w(z + e) - w(z))/e
     diff = (BiPoly({(0, i): c for i, c in enumerate(w.coeffs)}).subs_second_shift()
             - BiPoly({(i, 0): c for i, c in enumerate(w.coeffs)}))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import cubic_plus_one, fourier_points, line_points, torus_points
+from battery import cubic_plus_one, fourier_points, hyper_points, line_points, torus_points
 from cmforge.cli import _ideal_json, _parse_frac, _parse_ideal, _parse_point, _point_json, main
 from cmforge.errors import SchemaError
 from cmforge.exact import UniPoly
@@ -486,6 +486,60 @@ def test_exit_1_on_non_integer_n(tmp_path, n):
     assert r.returncode == 1, r.stderr
     err = json.loads(r.stderr)
     assert err["error"] == "schema" and "'n'" in err["detail"]
+
+
+# the documented preconditions that reached main as a plain ValueError, each
+# with its detail; a fresh interpreter per case, as in the cases above
+_DOCUMENTED_PRECONDITIONS = [
+    ("act", _line_point_json(), ["--unit-power", "1"],
+     "the one-parameter action is defined on the torus only"),
+    ("act", _line_point_json(), ["--omega", '[[0, 1, "1"]]'],
+     "y-dependent coefficient needs a plane model"),
+    ("act", _line_point_json(), _OMEGA_1 + ["--x-shift", "-1"],
+     "negative x-powers need the torus model"),
+    ("forge", dict(_line_point_json(vs=[["1"], ["0"]]), ws=[["-1"], ["0"]]), [],
+     "generator emission needs the trivial-ideal tier (one framing pair); "
+     "use kappa for the general tier"),
+    ("codim", _ideal_json(ideal_generators(hyper_points()[0])), [],
+     "lattice clearing handles line and torus coefficients only"),
+]
+
+
+@pytest.mark.parametrize("command, doc, options, detail", _DOCUMENTED_PRECONDITIONS,
+                         ids=["unit-power-on-line", "y-omega-on-line", "negative-x-shift-on-line",
+                              "forge-two-framing-pairs", "codim-hyperelliptic"])
+def test_exit_2_on_documented_precondition(tmp_path, command, doc, options, detail):
+    r = _cli_subprocess([command, _write(tmp_path, "in.json", doc)] + options)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == json.dumps({"detail": detail, "error": "precondition"},
+                                  sort_keys=True, indent=2) + "\n"
+
+
+def test_other_value_error_is_internal(tmp_path, capsys, monkeypatch):
+    # only a PreconditionError exits 2: any other ValueError is a bug, exit 3
+    import cmforge.cli as cli
+
+    def broken(p):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "ideal_generators", broken)
+    assert main(["forge", _write(tmp_path, "p.json", _line_point_json())]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "internal",
+                                                    "detail": "ValueError: boom"}
+
+
+def test_forge_at_constant_p_is_a_precondition(tmp_path, capsys):
+    # y^2 = 9 is accepted as a curve, but Q(x)[y]/(y^2 - 9) is not a field
+    req = _write(tmp_path, "req.json", {"curve": {"kind": "PlaneCurve", "P": ["9"]},
+                                        "points": [[2, 3], [-3, -3]], "alphas": [-1, -1]})
+    pt = str(tmp_path / "p.json")
+    assert main(["make-point", req, "-o", pt]) == 0
+    assert main(["verify", pt]) == 0
+    capsys.readouterr()
+    assert main(["forge", pt]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "precondition",
+        "detail": "Q(x)[y]/(y^2 - P) is a field only for a nonconstant P; this curve has P = 9"}
 
 
 def test_exit_1_on_unknown_command(capsys):

@@ -134,3 +134,13 @@ def test_gamma_skew_fails_off_square_scaling():
 def test_gamma_skew_higher_order_truncation():
     assert gamma_skew_check(Z + Z * Z, order=8)
     assert gamma_skew_check(Z + Z * Z * Z, order=5)
+
+
+def test_gamma_skew_orientation_reversing():
+    # S = 1 + O((z1 - z2)^2) for every w with w'(0) != 0: the half-form
+    # factors multiply to w'(0) on the diagonal, so the root of w'(0)^2 is
+    # w'(0), negative here, not |w'(0)|
+    one = UniPoly.const("z", 1)
+    for w in (-Z, Z * Z - Z * 2, one - Z * 3 + Z * Z * Z * 2,
+              Z * Z * 3 - Z * Fraction(5, 7)):
+        assert gamma_skew_check(w), w
