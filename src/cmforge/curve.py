@@ -164,33 +164,17 @@ def smoothness_check(c: CurveModel):
     if c.kind != PLANE_CURVE:
         raise ValueError("smoothness check applies to plane curves only")
     F = c.F
-    Fx = F.partial_x()
-    Fy = F.partial_y()
-    if F.degree_y() <= 0:
-        f = F.as_unipoly("x", "x")
-        g = f.gcd(f.derivative())
-        if g.degree() > 0:
-            return False, repr(g)
-        return True, None
-    if F.degree_x() <= 0:
-        f = F.as_unipoly("y", "y")
-        g = f.gcd(f.derivative())
-        if g.degree() > 0:
-            return False, repr(g)
-        return True, None
     fc = F.coeffs_in_y("x")
-    rx = resultant(fc, Fx.coeffs_in_y("x"))
-    ry = resultant(fc, Fy.coeffs_in_y("x"))
-    if rx.is_zero and ry.is_zero:
-        return False, "resultants vanish identically"
-    if rx.is_zero:
-        g = ry
-    elif ry.is_zero:
-        g = rx
-    else:
-        g = rx.gcd(ry)
-    if not g.is_zero and g.degree() > 0:
-        return False, repr(g.monic())
+    if F.degree_y() <= 0 or F.degree_x() <= 0:
+        # univariate: squarefree exactly when coprime to its derivative
+        f = fc[0] if F.degree_y() <= 0 else UniPoly("y", [e.coeff(0) for e in fc])
+        g = f.gcd(f.derivative())
+        return (False, repr(g)) if g.degree() > 0 else (True, None)
+    # gcd with one zero side is the other side made monic; both zero give 0
+    g = resultant(fc, F.partial_x().coeffs_in_y("x")).gcd(
+        resultant(fc, F.partial_y().coeffs_in_y("x")))
     if g.is_zero:
         return False, "resultants vanish identically"
+    if g.degree() > 0:
+        return False, repr(g)
     return True, None

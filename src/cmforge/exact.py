@@ -5,7 +5,10 @@ matrices over a field.  A matrix computes with its entries' own operators;
 its field object (QQ or diffop.CoeffRing) supplies only the constants and
 the inverse that elimination needs.  Work over Q[x] stays off Mat: the
 characteristic polynomial comes from a Hessenberg form over Q, and the
-resultant from a subresultant sequence on coefficient lists.  Rational
+resultant from a subresultant sequence on coefficient lists.  Each quantity
+has one algorithm: the determinant is the constant term of the
+characteristic polynomial, and the adjugate comes from the same recurrence
+as forge's resolvents (_adjugate_times).  Rational
 functions are not a type of their own here: a quotient p/q of polynomials
 is a ``diffop.Coeff``.  Everything here is immutable and pure.
 """
@@ -419,20 +422,6 @@ class BiPoly:
             out.append(UniPoly(xvar, [cs.get(i, 0) for i in range(deg + 1)]))
         return out
 
-    def as_unipoly(self, which: str, var: str) -> UniPoly:
-        """Collapse to a univariate polynomial when the other variable is absent."""
-        if which == "x":
-            if self.degree_y() > 0:
-                raise ValueError("second variable present")
-            deg = self.degree_x()
-            return UniPoly(var, [self.terms.get((i, 0), 0) for i in range(deg + 1)])
-        if which == "y":
-            if self.degree_x() > 0:
-                raise ValueError("first variable present")
-            deg = self.degree_y()
-            return UniPoly(var, [self.terms.get((0, i), 0) for i in range(deg + 1)])
-        raise ValueError("which must be 'x' or 'y'")
-
     def subs_second_shift(self) -> "BiPoly":
         """Substitute second variable -> first + eps; result is in (first, eps)."""
         from math import comb
@@ -510,7 +499,9 @@ class Mat:
 
     Entry arithmetic and zero tests use the entries' own operators; the field
     object supplies only the constants zero(), one() and from_frac(), and
-    inv(), the one division that det, inv and rref need.
+    inv(), the one division that Gauss-Jordan (inv and rref) needs.  det and
+    adjugate read char_poly, so they take matrices over Q only: over a
+    CoeffRing, rat raises TypeError.
     """
 
     __slots__ = ("ring", "rows", "cols", "entries")
@@ -600,35 +591,9 @@ class Mat:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def det(self):
-        """Bareiss determinant: every division is exact, so the entries stay
-        minors of the matrix."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        rg = self.ring
-        if n == 0:
-            return rg.one()
-        a = [self.row(i) for i in range(n)]
-        sign = 1
-        prev = rg.one()
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return rg.zero()
-            pinv = rg.inv(prev)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) * pinv
-                a[i][k] = rg.zero()
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return -d if sign < 0 else d
+    def det(self) -> Fraction:
+        """det(m - 0 Id): the constant term of char_poly, for a matrix over Q."""
+        return char_poly(self, "t").coeff(0)
 
     def _gauss_jordan(self, a: list, stop: int) -> list:
         """Gauss-Jordan on the rows a, pivoting in the first stop columns;
@@ -669,24 +634,13 @@ class Mat:
         return a, self._gauss_jordan(a, self.cols)
 
     def adjugate(self) -> "Mat":
-        """Adjugate by cofactor expansion (intended for small matrices)."""
-        if self.rows != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
+        """adj(m) for a matrix over Q: column j is the t^0 vector of
+        adj(m - t Id) e_j from _adjugate_times."""
         n = self.rows
-        if n == 0:
-            return self
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = Mat.from_rows(self.ring, [
-                    [self.entry(r, c) for c in range(n) if c != j]
-                    for r in range(n) if r != i
-                ])
-                d = minor.det()
-                row.append(-d if (i + j) % 2 else d)
-            cof.append(row)
-        return Mat.from_rows(self.ring, cof).transpose()
+        f = char_poly(self, "t")
+        cols = [_adjugate_times(self, f, [int(i == j) for i in range(n)])[0]
+                for j in range(n)]
+        return Mat(self.ring, n, n, [c[i] for i in range(n) for c in cols])
 
 
 def rational_rank(vectors) -> int:
@@ -769,6 +723,26 @@ def char_poly(m: Mat, var: str) -> UniPoly:
         ps.append(p)
     sign = -1 if n % 2 else 1
     return _poly(var, [sign * c * d ** j for j, c in enumerate(ps[n])], d ** n)
+
+
+def _adjugate_times(A: Mat, f: UniPoly, v) -> list:
+    """Vectors c_0..c_{n-1} over Q with adj(A - t Id) * v = sum_k t^k c_k.
+
+    f = det(A - t Id) = sum_k f_k t^k.  Comparing coefficients of t in
+    (A - t Id) * adj(A - t Id) = f * Id gives c_{n-1} = -f_n v and
+    c_{k-1} = A c_k - f_k v: n - 1 matrix-vector products over Q.
+    """
+    n = A.rows
+    fk = f.coeffs
+    rows = [A.row(i) for i in range(n)]
+    c = [-fk[n] * e for e in v]
+    out = [c]
+    for k in range(n - 1, 0, -1):
+        c = [sum(a * e for a, e in zip(r, c)) - fk[k] * ve
+             for r, ve in zip(rows, v)]
+        out.append(c)
+    out.reverse()
+    return out
 
 
 def resultant(p, q) -> UniPoly:

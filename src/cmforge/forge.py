@@ -12,7 +12,8 @@ left-to-right order is the operator order, and normal_order resolves the
 noncommutativity across factors once.  A factor's entries are rational
 functions of its symbol, held as Coeffs of the line's ring in the symbol's
 own variable; a resolvent (A - t Id)^{-1} is adj(A - t Id) / det(A - t Id),
-its adjugate columns from _adjugate_times.
+its adjugate columns from exact._adjugate_times, the recurrence that
+Mat.adjugate also reads.
 
 ideal_generators does not go through them on the line, the torus and
 hyperelliptic curves.  There the z-generator is written in closed form:
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import Mat, QQ, UniPoly, char_poly, bipoly_apply
+from .exact import Mat, QQ, UniPoly, _adjugate_times, bipoly_apply, char_poly
 from .errors import PreconditionError
 from . import curve as curvemod
 from .cmspace import CMPoint, verify_relations
@@ -289,26 +290,6 @@ def _ypoly_to_coeff(q: UniPoly, ring: CoeffRing) -> Coeff:
         else:
             b = b + pm * cc
     return Coeff(ring, a, b)
-
-
-def _adjugate_times(A: Mat, f: UniPoly, v) -> list:
-    """Vectors c_0..c_{n-1} over Q with adj(A - t Id) * v = sum_k t^k c_k.
-
-    f = det(A - t Id) = sum_k f_k t^k.  Comparing coefficients of t in
-    (A - t Id) * adj(A - t Id) = f * Id gives c_{n-1} = -f_n v and
-    c_{k-1} = A c_k - f_k v: n - 1 matrix-vector products over Q.
-    """
-    n = A.rows
-    fk = f.coeffs
-    rows = [A.row(i) for i in range(n)]
-    c = [-fk[n] * e for e in v]
-    out = [c]
-    for k in range(n - 1, 0, -1):
-        c = [sum(a * e for a, e in zip(r, c)) - fk[k] * ve
-             for r, ve in zip(rows, v)]
-        out.append(c)
-    out.reverse()
-    return out
 
 
 def _z_rows(p: CMPoint, det_z: UniPoly) -> list:

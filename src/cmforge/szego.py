@@ -88,35 +88,19 @@ def _trunc(p: BiPoly, dz: int, de: int) -> BiPoly:
     return BiPoly({k: c for k, c in p.terms.items() if k[0] <= dz and k[1] <= de})
 
 
-def _inv_series(u: BiPoly, dz: int, de: int) -> BiPoly:
-    c = u.terms.get((0, 0), Fraction(0))
-    if c == 0:
-        raise ValueError("series with zero constant term is not invertible")
-    t = _trunc(BiPoly.const(1) - u * BiPoly.const(1 / c), dz, de)
-    out = BiPoly.const(1)
-    power = BiPoly.const(1)
-    for _ in range(dz + de):
-        power = _trunc(power * t, dz, de)
-        if power.is_zero:
-            break
-        out = out + power
-    return _trunc(out * BiPoly.const(1 / c), dz, de)
-
-
-def _sqrt_series(u: BiPoly, root: Fraction, dz: int, de: int) -> BiPoly:
-    """The square root of u whose constant term is root (root**2 that of u)."""
-    c = root * root
-    t = _trunc(u * BiPoly.const(1 / c) - BiPoly.const(1), dz, de)
-    out = BiPoly.const(1)
-    power = BiPoly.const(1)    # binomial series for (1 + t)^(1/2)
+def _power_series(u: BiPoly, alpha: Fraction, lead: Fraction, dz: int, de: int) -> BiPoly:
+    """The power u**alpha with constant term lead (lead**(1/alpha) that of u):
+    lead * (1 + t)**alpha with t = u/u(0) - 1, by the binomial series."""
+    t = _trunc(u * BiPoly.const(1 / u.terms[(0, 0)]) - BiPoly.const(1), dz, de)
+    out = power = BiPoly.const(1)
     coeff = Fraction(1)
     for j in range(1, dz + de + 1):
-        coeff = coeff * (Fraction(1, 2) - (j - 1)) / j
+        coeff = coeff * (alpha - j + 1) / j
         power = _trunc(power * t, dz, de)
         if power.is_zero:
             break
         out = out + power * BiPoly.const(coeff)
-    return _trunc(out * BiPoly.const(root), dz, de)
+    return _trunc(out * BiPoly.const(lead), dz, de)
 
 
 def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
@@ -139,12 +123,12 @@ def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
     a = BiPoly({(i, 0): c for i, c in enumerate(wp.coeffs)})
     # w'(z + e): w' in the second slot, shifted by the first
     b = _trunc(BiPoly({(0, i): c for i, c in enumerate(wp.coeffs)}).subs_second_shift(), dz, de)
-    s = _sqrt_series(_trunc(a * b, dz, de), wp.coeffs[0], dz, de)
-    # (z1 - z2)/(w(z1) - w(z2)) = 1/q with q = (w(z + e) - w(z))/e
+    s = _power_series(_trunc(a * b, dz, de), Fraction(1, 2), wp.coeffs[0], dz, de)
+    # (z1 - z2)/(w(z1) - w(z2)) = 1/q with q = (w(z + e) - w(z))/e, q(0) = w'(0)
     diff = (BiPoly({(0, i): c for i, c in enumerate(w.coeffs)}).subs_second_shift()
             - BiPoly({(i, 0): c for i, c in enumerate(w.coeffs)}))
     q = _trunc(BiPoly({(r, t - 1): c for (r, t), c in diff.terms.items()}), dz, de)
-    ratio = _trunc(s * _inv_series(q, dz, de), dz, de)
+    ratio = _trunc(s * _power_series(q, Fraction(-1), 1 / wp.coeffs[0], dz, de), dz, de)
     rows = ratio.coeffs_in_y("z")
     const_ok = rows and rows[0] == UniPoly("z", [1])
     linear_ok = len(rows) < 2 or rows[1].is_zero

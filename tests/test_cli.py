@@ -11,8 +11,10 @@ import pytest
 
 from battery import cubic_plus_one, fourier_points, hyper_points, line_points, torus_points
 from cmforge.cli import _ideal_json, _parse_frac, _parse_ideal, _parse_point, _point_json, main
+from cmforge.cmspace import generic_point
+from cmforge.curve import plane_curve
 from cmforge.errors import SchemaError
-from cmforge.exact import UniPoly
+from cmforge.exact import BiPoly, UniPoly
 from cmforge.forge import ideal_generators
 
 
@@ -55,7 +57,6 @@ def test_point_roundtrip():
 
 
 def test_point_roundtrip_plane():
-    from cmforge.cmspace import generic_point
     p = generic_point(cubic_plus_one(), [(0, 1), (2, 3)])
     assert _parse_point(_point_json(p)) == p
 
@@ -84,7 +85,6 @@ def test_ideal_roundtrip():
 
 
 def test_ideal_roundtrip_hyper():
-    from cmforge.cmspace import generic_point
     ideal = ideal_generators(generic_point(cubic_plus_one(), [(0, 1)]))
     back = _parse_ideal(_ideal_json(ideal))
     assert tuple(back.generators) == tuple(ideal.generators)
@@ -488,8 +488,8 @@ def test_exit_1_on_non_integer_n(tmp_path, n):
     assert err["error"] == "schema" and "'n'" in err["detail"]
 
 
-# the documented preconditions that reached main as a plain ValueError, each
-# with its detail; a fresh interpreter per case, as in the cases above
+# the documented preconditions, each with its detail; a fresh interpreter per
+# case, as in the cases above
 _DOCUMENTED_PRECONDITIONS = [
     ("act", _line_point_json(), ["--unit-power", "1"],
      "the one-parameter action is defined on the torus only"),
@@ -502,12 +502,18 @@ _DOCUMENTED_PRECONDITIONS = [
      "use kappa for the general tier"),
     ("codim", _ideal_json(ideal_generators(hyper_points()[0])), [],
      "lattice clearing handles line and torus coefficients only"),
+    # a parabola point verifies, but its generators stay symbolic
+    ("forge", _point_json(generic_point(plane_curve(BiPoly({(0, 1): 1, (2, 0): -1})),
+                                        [(1, 1), (2, 4)])), [],
+     "general plane models produce symbolic generators; the JSON schema "
+     "covers the line, torus and hyperelliptic models"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, options, detail", _DOCUMENTED_PRECONDITIONS,
                          ids=["unit-power-on-line", "y-omega-on-line", "negative-x-shift-on-line",
-                              "forge-two-framing-pairs", "codim-hyperelliptic"])
+                              "forge-two-framing-pairs", "codim-hyperelliptic",
+                              "forge-general-plane"])
 def test_exit_2_on_documented_precondition(tmp_path, command, doc, options, detail):
     r = _cli_subprocess([command, _write(tmp_path, "in.json", doc)] + options)
     assert r.returncode == 2, r.stderr

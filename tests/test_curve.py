@@ -115,6 +115,18 @@ def test_smoothness_node_detected():
     assert not ok
 
 
+@pytest.mark.parametrize("terms, want", [
+    ({(2, 0): 1, (0, 0): -1}, (True, None)),                     # x^2 - 1
+    ({(2, 0): 1, (1, 0): -2, (0, 0): 1}, (False, "-1 + 1*x")),   # (x - 1)^2
+    ({(0, 3): 1, (0, 1): -1}, (True, None)),                     # y^3 - y
+    ({(0, 3): 1, (0, 2): -4, (0, 1): 4}, (False, "-2 + 1*y")),   # (y - 2)^2 y
+], ids=["x2-1", "x-1-squared", "y3-y", "y-2-squared-y"])
+def test_smoothness_of_univariate_curves(terms, want):
+    # F in one variable: squarefree exactly when coprime to its derivative,
+    # the witness being that gcd in F's own variable
+    assert smoothness_check(plane_curve(BiPoly(terms))) == want
+
+
 def test_smoothness_rejects_line():
     with pytest.raises(ValueError):
         smoothness_check(affine_line())

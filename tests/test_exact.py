@@ -191,23 +191,31 @@ def test_mat_over_each_ring(name):
     def invertible():
         while True:
             m = Mat(ring, 3, 3, [elem() for _ in range(9)])
-            if m.det() != 0:
-                return m
+            try:
+                m.inv()
+            except ZeroDivisionError:
+                continue
+            return m
 
     a, b = invertible(), invertible()
     ident, zero = Mat.identity(ring, 3), Mat.zeros(ring, 3, 3)
     assert zero.is_zero() and a.sub(a).is_zero() and a.sub(a) == zero
     assert not a.is_zero() and a != b and a.add(zero) == a == a.neg().neg()
-    assert a.mul(b).det() == a.det() * b.det()
-    assert a.mul(a.adjugate()) == ident.scalar_mul(a.det())
     assert a.mul(a.inv()) == ident == a.inv().mul(a)
     rows, pivots = a.rref()
     assert pivots == [0, 1, 2] and Mat.from_rows(ring, rows) == ident
-    if name == "rationals":
-        sympy = pytest.importorskip("sympy")
-        want = sympy.Matrix(3, 3, [sympy.Rational(e.numerator, e.denominator)
-                                   for e in a.entries]).det()
-        assert a.det() == Fraction(int(want.p), int(want.q))
+    if name != "rationals":
+        # det and adjugate read char_poly, which takes rational matrices only
+        for quantity in (a.det, a.adjugate):
+            with pytest.raises(TypeError):
+                quantity()
+        return
+    assert a.mul(b).det() == a.det() * b.det()
+    assert a.mul(a.adjugate()) == ident.scalar_mul(a.det())
+    sympy = pytest.importorskip("sympy")
+    want = sympy.Matrix(3, 3, [sympy.Rational(e.numerator, e.denominator)
+                               for e in a.entries]).det()
+    assert a.det() == Fraction(int(want.p), int(want.q))
 
 
 def test_mat_inv_singular_rejected():
@@ -348,6 +356,40 @@ def test_char_poly_matches_bareiss_oracle_and_sympy(sympy):
             want = sympy.Matrix(m.rows, m.rows, [sympy.Rational(e.numerator, e.denominator)
                                                  for e in m.entries]).charpoly(t)
             assert _same(got * (-1) ** m.rows, want.as_poly(t, domain=sympy.QQ)), m
+
+
+def _det_adjugate_mats():
+    """Rational matrices of sizes 0-5: random ones, singular ones of rank
+    n - 1 and n - 2 (products of n x r and r x n factors; the adjugate of
+    the latter is zero), and the zero matrix."""
+    rng = random.Random(20)
+
+    def rand(r, c):
+        return Mat(QQ, r, c, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(r * c)])
+
+    mats = []
+    for n in range(6):
+        mats += [rand(n, n) for _ in range(3)]
+        mats += [rand(n, r).mul(rand(r, n)) for r in (n - 1, n - 2) if r > 0 for _ in range(2)]
+        mats.append(Mat.zeros(QQ, n, n))
+    return mats
+
+
+def test_det_and_adjugate_match_sympy(sympy):
+    ranks = set()
+    for m in _det_adjugate_mats():
+        s = sympy.Matrix(m.rows, m.cols, [sympy.Rational(e.numerator, e.denominator)
+                                          for e in m.entries])
+        d, adj = m.det(), m.adjugate()
+        want = s.det()
+        assert d == Fraction(int(want.p), int(want.q)), m
+        assert (adj.rows, adj.cols) == (m.rows, m.cols)
+        assert adj.entries == tuple(Fraction(int(e.p), int(e.q)) for e in s.adjugate()), m
+        ranks.add((m.rows, rational_rank([m.row(i) for i in range(m.rows)])))
+    # every size meets a singular matrix of rank n - 1 and, from n = 2, n - 2
+    assert all((n, n - 1) in ranks for n in range(1, 6))
+    assert all((n, n - 2) in ranks for n in range(2, 6))
 
 
 def test_char_poly_of_a_companion_matrix():
