@@ -290,13 +290,7 @@ def _handle_verify(payload, ns):
 
 
 def _handle_forge(payload, ns):
-    p = _parse_point(payload)
-    out = ideal_generators(p)
-    if not isinstance(out, FractionalIdeal):
-        raise PreconditionError(
-            "general plane models produce symbolic generators; the JSON "
-            "schema covers the line, torus and hyperelliptic models")
-    return _ideal_json(out)
+    return _ideal_json(ideal_generators(_parse_point(payload)))
 
 
 def _handle_codim(payload, ns):

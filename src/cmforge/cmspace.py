@@ -9,7 +9,7 @@ tangent space, Hom/Ext dimensions) and applies the symmetry actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exact import BiPoly, Mat, QQ, rat, bipoly_apply, rational_rank
@@ -155,9 +155,6 @@ class CMPoint:
         if self.Ymat is not None:
             acts.insert(1, self.Ymat)
         return acts
-
-    def with_z(self, newZ) -> "CMPoint":
-        return CMPoint(self.curve, self.n, self.Xmat, self.Ymat, newZ, self.vs, self.ws)
 
     def symbol_value(self, sym):
         if sym == "X":
@@ -442,13 +439,12 @@ class OneForm:
 def lambda_act(p: CMPoint, r) -> CMPoint:
     """Torus symmetry with parameter r: Z -> Z + r X^{-1}.
 
-    Matches the twist by the logarithmic form of x^r; defined on the torus
-    only, at points where X is invertible.
+    It is the twist by the logarithmic form r dx/x of x^r, so omega_twist
+    computes it; defined on the torus only, at points where X is invertible.
     """
     if p.curve.kind != curvemod.TORUS:
         raise PreconditionError("the one-parameter action is defined on the torus only")
-    r = rat(r)
-    return p.with_z(p.Zmat.add(_x_inverse(p).scalar_mul(r)))
+    return omega_twist(p, OneForm(p.curve, BiPoly.const(r), -1))
 
 
 def _x_inverse(p: CMPoint) -> Mat:
@@ -474,4 +470,4 @@ def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
             k >>= 1
             if k:
                 base = base.mul(base)
-    return p.with_z(p.Zmat.add(G))
+    return replace(p, Zmat=p.Zmat.add(G))

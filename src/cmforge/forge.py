@@ -3,8 +3,12 @@
 Implements the correspondence at the level of formulas: the substitution map
 delta_V, the correction element kappa, and the generator emission
 
-    det(X - x Id) * v_i,   det(Y - y Id) * v_i  (plane models),
-    det(Z - z Id) * kappa(v_i)   (normal-ordered where supported).
+    det(X - x Id) * v_i,   det(Y - y Id) * v_i  (hyperelliptic models),
+    det(Z - z Id) * kappa(v_i)   (normal-ordered),
+
+on the line, the torus and hyperelliptic curves.  A general plane model has
+no operator coefficient ring here, so ideal_generators raises
+PreconditionError on it; kappa and delta_V still take its points.
 
 kappa and delta_V are ordered products: each matrix factor is univariate in
 one operator symbol (x, y, or the derivation symbol z), the written
@@ -15,14 +19,13 @@ own variable; a resolvent (A - t Id)^{-1} is adj(A - t Id) / det(A - t Id),
 its adjugate columns from exact._adjugate_times, the recurrence that
 Mat.adjugate also reads.
 
-ideal_generators does not go through them on the line, the torus and
-hyperelliptic curves.  There the z-generator is written in closed form:
-adj(A - t Id) * v comes from a recurrence over Q (_adjugate_times), so the
-z^k coefficient of det(Z - z Id) * kappa(v) is e_k = N_k / gx with N_k a
-polynomial (gx the characteristic polynomial of X), and d^k * e_k is
-normal-ordered by sum_m C(k, m) e_k^(k-m) d^m, each derivative kept as a
-numerator over a power of gx.  No z-denominator can arise on that path; it
-can only in kappa and normal_order.
+ideal_generators does not go through them: the z-generator is written in
+closed form.  adj(A - t Id) * v comes from a recurrence over Q
+(_adjugate_times), so the z^k coefficient of det(Z - z Id) * kappa(v) is
+e_k = N_k / gx with N_k a polynomial (gx the characteristic polynomial of
+X), and d^k * e_k is normal-ordered by sum_m C(k, m) e_k^(k-m) d^m, each
+derivative kept as a numerator over a power of gx.  No z-denominator can arise on that path; it
+can only in kappa and normal_order, which the tests run as its oracle.
 """
 
 from __future__ import annotations
@@ -80,23 +83,6 @@ class OrderedProduct:
     def __repr__(self):
         return "OrderedProduct(%s)" % " * ".join(
             "%s[%dx%d]" % (sym or "const", m.rows, m.cols) for sym, m in self.factors)
-
-
-@dataclass(frozen=True, slots=True)
-class SymbolicGenerators:
-    """Generator emission for a general plane model, kept symbolic.
-
-    gen_x and gen_y are the characteristic polynomials (order-0 operators);
-    the z-generator is det_z plus the ordered-product correction, not
-    normal-ordered: general plane models carry no operator coefficient ring
-    here (documented limitation).
-    """
-
-    curve: curvemod.CurveModel
-    gen_x: UniPoly
-    gen_y: UniPoly
-    det_z: UniPoly
-    correction: OrderedProduct | None
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +344,14 @@ def _z_generator(p: CMPoint, ring: CoeffRing, gx: UniPoly, det_z: UniPoly) -> Di
                          for m in range(n + 1)])
 
 
-def ideal_generators(p: CMPoint):
+def ideal_generators(p: CMPoint) -> FractionalIdeal:
     """Emit the fractional-ideal generators for a verified point.
 
-    Returns a FractionalIdeal over the curve's coefficient ring for the
-    line, torus and hyperelliptic models; a SymbolicGenerators container for
-    a general plane model.  Requires the trivial-ideal tier (one framing
-    pair), the general tier staying at the kappa level, and a nonconstant P
-    on a hyperelliptic curve.
+    Returns a FractionalIdeal over the curve's coefficient ring; defined on
+    the line, the torus and hyperelliptic curves with a nonconstant P, and,
+    at n > 0, for the trivial-ideal tier (one framing pair).  Any other
+    input raises PreconditionError: a general plane model has no coefficient
+    ring here, whatever n (its tier stays at kappa and normal_order).
     """
     report = verify_relations(p)
     if not report.ok:
@@ -375,29 +361,18 @@ def ideal_generators(p: CMPoint):
     if c.is_hyperelliptic and c.hyperelliptic_P.degree() <= 0:
         raise PreconditionError("Q(x)[y]/(y^2 - P) is a field only for a nonconstant P; "
                                 "this curve has P = %s" % (c.hyperelliptic_P,))
-    general_plane = c.has_y and not c.is_hyperelliptic
-    ring = None if general_plane else coeff_ring_for(c)
-
-    if p.n == 0:
-        one_x = UniPoly.const("x", 1)
-        if general_plane:
-            return SymbolicGenerators(c, one_x, UniPoly.const("y", 1),
-                                      UniPoly.const("z", 1), None)
-        return FractionalIdeal(c, [DiffOp(ring, [ring.one()])])
-    if p.n_inf != 1:
+    if p.n_inf != 1 and p.n != 0:
         raise PreconditionError("generator emission needs the trivial-ideal tier "
                                 "(one framing pair); use kappa for the general tier")
+    if c.has_y and not c.is_hyperelliptic:
+        raise PreconditionError("general plane models produce symbolic generators; the JSON "
+                                "schema covers the line, torus and hyperelliptic models")
+    ring = coeff_ring_for(c)
+    if p.n == 0:
+        return FractionalIdeal(c, [DiffOp(ring, [ring.one()])])
 
     gx = char_poly(p.Xmat, "x")
     det_z = char_poly(p.Zmat, "z")
-
-    if general_plane:
-        zrow = Mat(_RF, 1, p.n, [Coeff(_RF, UniPoly("z", col))
-                                 for col in zip(*_z_rows(p, det_z))])
-        correction = OrderedProduct(_correction_factors(p, 0, zrow))
-        gy = char_poly(p.Ymat, "y")
-        return SymbolicGenerators(c, gx, gy, det_z, correction)
-
     gens = [DiffOp(ring, [ring.from_poly(gx)])]
     if c.is_hyperelliptic:
         gens.append(DiffOp(ring, [_ypoly_to_coeff(char_poly(p.Ymat, "y"), ring)]))

@@ -28,6 +28,7 @@ from cmforge.lattice import (clearing_for, codim, module_equal,
                              span_filtration, unit_conjugate)
 from cmforge.szego import (LocalKernel, extract_operator, gamma_skew_check,
                            residue_action)
+from generalroute import oracle_ideal
 
 
 def _report(num, slug, t0, budget):
@@ -94,11 +95,12 @@ def test_criterion_05_trace_lifting():
 
 
 def test_criterion_06_kappa_regularity():
+    # det(Z - z Id) * kappa(v), with the z-row from cofactor determinants,
+    # normal-orders with no z-residue (normal_order raises on one) to the
+    # closed-form generators
     t0 = time.perf_counter()
     for p in full_battery():
-        ideal = ideal_generators(p)  # raises on any residual z-denominator
-        orders = sorted(g.order() for g in ideal.generators)
-        assert orders[-1] == p.n
+        assert ideal_generators(p) == oracle_ideal(p), p
     _report(6, "kappa-regularity", t0, 10)
 
 

@@ -488,6 +488,17 @@ def test_exit_1_on_non_integer_n(tmp_path, n):
     assert err["error"] == "schema" and "'n'" in err["detail"]
 
 
+def _parabola_point_json(vs=(), ws=()):
+    """A point of the parabola y = x^2 at (1, 1), (2, 4), with extra framing
+    pairs appended."""
+    d = _point_json(generic_point(plane_curve(BiPoly({(0, 1): 1, (2, 0): -1})),
+                                  [(1, 1), (2, 4)]))
+    return dict(d, vs=d["vs"] + list(vs), ws=d["ws"] + list(ws))
+
+
+_GENERAL_PLANE = ("general plane models produce symbolic generators; the JSON schema "
+                  "covers the line, torus and hyperelliptic models")
+
 # the documented preconditions, each with its detail; a fresh interpreter per
 # case, as in the cases above
 _DOCUMENTED_PRECONDITIONS = [
@@ -502,18 +513,23 @@ _DOCUMENTED_PRECONDITIONS = [
      "use kappa for the general tier"),
     ("codim", _ideal_json(ideal_generators(hyper_points()[0])), [],
      "lattice clearing handles line and torus coefficients only"),
-    # a parabola point verifies, but its generators stay symbolic
-    ("forge", _point_json(generic_point(plane_curve(BiPoly({(0, 1): 1, (2, 0): -1})),
-                                        [(1, 1), (2, 4)])), [],
-     "general plane models produce symbolic generators; the JSON schema "
-     "covers the line, torus and hyperelliptic models"),
+    # a parabola point verifies, but forge has no generators for it
+    ("forge", _parabola_point_json(), [], _GENERAL_PLANE),
+    # ... at every rank, 0 included: the unit ideal is not emitted either
+    ("forge", dict(_parabola_point_json(), n=0, X=[], Y=[], Z=[], vs=[[]], ws=[[]]), [],
+     _GENERAL_PLANE),
+    # a zero second framing pair: the tier check comes before the curve check
+    ("forge", _parabola_point_json(vs=[["0", "0"]], ws=[["0", "0"]]), [],
+     "generator emission needs the trivial-ideal tier (one framing pair); "
+     "use kappa for the general tier"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, options, detail", _DOCUMENTED_PRECONDITIONS,
                          ids=["unit-power-on-line", "y-omega-on-line", "negative-x-shift-on-line",
                               "forge-two-framing-pairs", "codim-hyperelliptic",
-                              "forge-general-plane"])
+                              "forge-general-plane", "forge-general-plane-rank-0",
+                              "forge-general-plane-two-framing-pairs"])
 def test_exit_2_on_documented_precondition(tmp_path, command, doc, options, detail):
     r = _cli_subprocess([command, _write(tmp_path, "in.json", doc)] + options)
     assert r.returncode == 2, r.stderr

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def test_verify_flags_broken_point():
     # Z + Id still satisfies the commutator (Id commutes with X); doubling
     # Z scales the left side while the right side stays fixed.
     p = line_points()[1]
-    bad = p.with_z(p.Zmat.add(p.Zmat))
+    bad = replace(p, Zmat=p.Zmat.add(p.Zmat))
     rep = verify_relations(bad)
     assert not rep.ok
     assert any(name == "zx-commutator" for name, _ in rep.failures())

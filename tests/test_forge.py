@@ -16,16 +16,10 @@ from cmforge.curve import affine_line, hyperelliptic, plane_curve, torus
 from cmforge.diffop import CoeffRing, DiffOp, FractionalIdeal, coeff_ring_for
 from cmforge.errors import PreconditionError
 from cmforge.exact import BiPoly, Mat, QQ, UniPoly, char_poly
-from cmforge.forge import (OrderedProduct, SymbolicGenerators, _coeff_in,
-                           _correction_factors, _lift, _resolvent,
-                           _ypoly_to_coeff, delta_V, ideal_generators, kappa,
-                           normal_order)
+from cmforge.forge import (OrderedProduct, _coeff_in, _lift, _resolvent, delta_V,
+                           ideal_generators, kappa, normal_order)
 from cmforge.lattice import clearing_for, codim, module_equal, span_filtration
-from polyoracle import bareiss_det
-
-# rational functions of one variable: Coeffs of the line's ring RF, which is
-# also the ring of the Mats that hold them
-RF = CoeffRing()
+from generalroute import RF, general_correction, oracle_ideal, oracle_zrow
 
 
 def _parabola_point():
@@ -109,7 +103,7 @@ def test_general_route_pinned_values():
     for name, p in pts:
         assert _factor_fields(delta_V(p)) == pins[name]["delta_V"], name
         assert _factor_fields(kappa(p)) == pins[name]["kappa"], name
-    correction = ideal_generators(_parabola_point()).correction
+    correction = general_correction(_parabola_point())
     assert _factor_fields(correction) == pins["parabola"]["correction"]
 
 
@@ -217,13 +211,13 @@ def test_ideal_generators_needs_single_framing_pair():
         ideal_generators(doubled)
 
 
-def test_general_plane_stays_symbolic():
-    out = ideal_generators(_parabola_point())
-    assert isinstance(out, SymbolicGenerators)
-    assert out.gen_x == UniPoly("x", [2, -3, 1])  # (x-1)(x-2)
-    assert out.gen_y == UniPoly("y", [4, -5, 1])  # (y-1)(y-4)
-    assert out.det_z.degree() == 2
-    assert out.correction is not None
+def test_general_plane_has_no_generators():
+    # no coefficient ring on a general plane model: forge stops there, while
+    # kappa still builds its ordered product
+    p = _parabola_point()
+    with pytest.raises(PreconditionError, match="general plane models produce symbolic"):
+        ideal_generators(p)
+    assert kappa(p).symbols() == ("z", "x", "y", None)
 
 
 def test_torus_generators_live_in_laurent_ring():
@@ -239,41 +233,6 @@ def test_torus_generators_live_in_laurent_ring():
 # ---------------------------------------------------------------------------
 # the closed-form z-generator against the general construction
 # ---------------------------------------------------------------------------
-
-
-def _oracle_zrow(p, sign):
-    """sign * vbar^t adj(Z^t - z Id), each adjugate entry a cofactor
-    determinant over Q[z] by the test-side Bareiss oracle."""
-    n, z = p.n, UniPoly.x("z")
-    shifted = [[UniPoly.const("z", p.Zmat.entry(j, i)) - (z if i == j else 0)
-                for j in range(n)] for i in range(n)]
-
-    def adj(i, j):  # the cofactor of entry (j, i)
-        minor = [[e for c, e in enumerate(row) if c != i]
-                 for r, row in enumerate(shifted) if r != j]
-        return bareiss_det(minor, "z") * (-1) ** (i + j)
-
-    vbar = p.V.transpose()
-    return Mat(RF, vbar.rows, n, [
-        RF.from_poly(sum((adj(i, j) * vbar.entry(r, i) for i in range(n)), UniPoly("z", [])) * sign)
-        for r in range(vbar.rows) for j in range(n)])
-
-
-def _oracle_ideal(p):
-    """ideal_generators the general way: the z-row -vbar^t adj(Z^t - z Id)
-    from cofactor determinants, then det(Z - z Id) plus the normal-ordered
-    product (X^t - x Id)^{-1} [(Y^t + y Id)] w^t through DiffOp.mul."""
-    c = p.curve
-    ring = coeff_ring_for(c)
-    zrow = _oracle_zrow(p, -1)
-    det_z = char_poly(p.Zmat, "z")
-    gens = [DiffOp(ring, [ring.from_poly(char_poly(p.Xmat, "x"))])]
-    if c.is_hyperelliptic:
-        gens.append(DiffOp(ring, [_ypoly_to_coeff(char_poly(p.Ymat, "y"), ring)]))
-    base = DiffOp(ring, [ring.from_frac(cc) for cc in det_z.coeffs])
-    gens.append(base.add(normal_order(
-        OrderedProduct(_correction_factors(p, 0, zrow)), ring)))
-    return FractionalIdeal(c, gens)
 
 
 def _conjugate(p, g):
@@ -318,11 +277,11 @@ def test_z_generator_matches_general_construction():
     pts += [lambda_act(p, r) for p in torus_points() for r in (1, -1)]
     pts += [_conjugate(p, _random_gl(rng, p.n)) for p in hyper_points()]
     for p in pts:
-        assert ideal_generators(p) == _oracle_ideal(p), (p, p.Xmat, p.Zmat)
-    # a general plane model keeps the ordered product, with the z-row's sign +
+        assert ideal_generators(p) == oracle_ideal(p), (p, p.Xmat, p.Zmat)
+    # on a general plane model the z-row of the correction has the sign +
     for p in (_parabola_point(), _conjugate(_parabola_point(), _random_gl(rng, 2))):
-        zrow = ideal_generators(p).correction.factors[0][1]
-        assert zrow == _oracle_zrow(p, 1)
+        zrow = general_correction(p).factors[0][1]
+        assert zrow == oracle_zrow(p, 1)
 
 
 def test_forge_is_gauge_invariant():

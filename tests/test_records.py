@@ -4,7 +4,7 @@ import pytest
 
 from battery import cubic_plus_one
 from cmforge.cmspace import OneForm, generic_point, relation_set, verify_relations
-from cmforge.curve import affine_line, plane_curve, torus
+from cmforge.curve import affine_line, torus
 from cmforge.diffop import CoeffRing
 from cmforge.exact import BiPoly, RationalRing, UniPoly
 from cmforge.forge import ideal_generators, kappa
@@ -13,10 +13,6 @@ from cmforge.szego import LocalKernel, extract_operator
 
 def _torus_point():
     return generic_point(torus(), [1, 2], [1, -1])
-
-
-def _parabola_point():
-    return generic_point(plane_curve(BiPoly({(0, 1): 1, (2, 0): -1})), [(1, 1), (2, 4)])
 
 
 def _kernel():
@@ -36,7 +32,6 @@ RECORDS = [
     ("FractionalIdeal", lambda: ideal_generators(_torus_point()), "generators"),
     ("RationalRing", RationalRing, "foo"),
     ("OrderedProduct", lambda: kappa(generic_point(affine_line(), [0, 1])), "factors"),
-    ("SymbolicGenerators", lambda: ideal_generators(_parabola_point()), "gen_x"),
     ("LocalKernel", _kernel, "pole_order"),
     ("HalfFormOp", lambda: extract_operator(_kernel()), "a"),
 ]
