@@ -447,13 +447,6 @@ def lambda_act(p: CMPoint, r) -> CMPoint:
     return omega_twist(p, OneForm(p.curve, BiPoly.const(r), -1))
 
 
-def _x_inverse(p: CMPoint) -> Mat:
-    try:
-        return p.Xmat.inv()
-    except ZeroDivisionError:
-        raise PreconditionError("X is singular: the point is not x-invertible") from None
-
-
 def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
     """Twist by a one-form coefficient: Z -> Z + g(X, Y)."""
     if form.curve != p.curve:
@@ -462,7 +455,10 @@ def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
     k = form.x_shift
     if k:
         # X**k by repeated squaring, X**-1 in place of X for k < 0
-        base = p.Xmat if k > 0 else _x_inverse(p)
+        try:
+            base = p.Xmat if k > 0 else p.Xmat.inv()
+        except ZeroDivisionError:
+            raise PreconditionError("X is singular: the point is not x-invertible") from None
         k = abs(k)
         while k:
             if k & 1:

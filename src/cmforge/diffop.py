@@ -289,25 +289,11 @@ class DiffOp:
             raise ValueError("zero operator has no order")
         return len(self.coeffs) - 1
 
-    def principal_symbol(self) -> Coeff:
-        if self.is_zero:
-            raise ValueError("zero operator has no principal symbol")
-        return self.coeffs[-1]
-
     def add(self, other: "DiffOp") -> "DiffOp":
         n = max(len(self.coeffs), len(other.coeffs))
         return DiffOp(self.ring, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
-    def sub(self, other: "DiffOp") -> "DiffOp":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp(self.ring, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def neg(self) -> "DiffOp":
-        return DiffOp(self.ring, [-c for c in self.coeffs])
-
     def scalar_mul(self, c) -> "DiffOp":
-        if not isinstance(c, Coeff):
-            c = self.ring.from_frac(rat(c))
         return DiffOp(self.ring, [c * ci for ci in self.coeffs])
 
     def mul(self, other: "DiffOp") -> "DiffOp":

@@ -444,30 +444,30 @@ class BiPoly:
 def bipoly_apply(f: BiPoly, a: "Mat", b: "Mat | None" = None) -> "Mat":
     """Evaluate f at a pair of commuting square matrices over the same ring.
 
-    b may be omitted when f does not involve the second variable.
+    b may be omitted when f does not involve the second variable.  Horner's
+    rule in b over Horner's rule in a, on pairs (M, c) that stand for M + c Id
+    (M None for zero), so that no product has an identity factor.
     """
-    if b is None:
-        if f.degree_y() > 0:
-            raise ValueError("second matrix required for a y-dependent polynomial")
-        b = Mat.identity(a.ring, a.rows)
-    if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
+    if b is None and f.degree_y() > 0:
+        raise ValueError("second matrix required for a y-dependent polynomial")
+    if a.rows != a.cols or b is not None and (b.rows != b.cols or b.rows != a.rows):
         raise ValueError("expected square matrices of equal size")
-    ring = a.ring
-    n = a.rows
-    pow_a = {0: Mat.identity(ring, n)}
-    pow_b = {0: Mat.identity(ring, n)}
 
-    def power(cache, m, k):
-        while k not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top].mul(m)
-        return cache[k]
+    def step(v, m, w):  # v m + w
+        (mat, c), (out, c2) = v, w
+        for t in (mat and mat.mul(m), c and m.scalar_mul(a.ring.from_frac(c))):
+            if t:
+                out = t if out is None else out.add(t)
+        return out, c2
 
-    out = Mat.zeros(ring, n, n)
-    for (r, s), c in f.items_sorted():
-        term = power(pow_a, a, r).mul(power(pow_b, b, s))
-        out = out.add(term.scalar_mul(ring.from_frac(c)))
-    return out
+    mat, c = None, 0
+    for s in range(f.degree_y(), -1, -1):
+        row = None, 0
+        for r in range(f.degree_x(), -1, -1):
+            row = step(row, a, (None, f.terms.get((r, s), 0)))
+        mat, c = step((mat, c), b, row)
+    cid = Mat.identity(a.ring, a.rows).scalar_mul(a.ring.from_frac(c))
+    return cid if mat is None else mat.add(cid) if c else mat
 
 
 # frozen without slots: with slots=True, Python 3.10 and 3.11 raise a

@@ -365,8 +365,8 @@ def ideal_generators(p: CMPoint) -> FractionalIdeal:
         raise PreconditionError("generator emission needs the trivial-ideal tier "
                                 "(one framing pair); use kappa for the general tier")
     if c.has_y and not c.is_hyperelliptic:
-        raise PreconditionError("general plane models produce symbolic generators; the JSON "
-                                "schema covers the line, torus and hyperelliptic models")
+        raise PreconditionError("general plane models have no operator coefficient ring here; "
+                                "generators cover the line, torus and hyperelliptic models")
     ring = coeff_ring_for(c)
     if p.n == 0:
         return FractionalIdeal(c, [DiffOp(ring, [ring.one()])])

@@ -15,18 +15,21 @@ on the torus, over Q[x, 1/x] (``x_saturate``), where x is a unit: there
 pivots are normalised in their row's own frame (the row over the pivot's
 x-power) and entries above a pivot are reduced into a residue window of
 that frame.  Rows are tuples of UniPoly in x, and a Hermite form is the
-tuple of its nonzero rows.
+tuple of its nonzero rows.  ``twist_ideal`` applies the twist by a one-form
+(d -> d - g) to an ideal's generators; ``unit_conjugate`` is its r dx/x case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
 
+from .cmspace import OneForm
 from .curve import AFFINE_LINE, TORUS
 from .diffop import DiffOp, FractionalIdeal, clearing_denominator
 from .errors import PreconditionError
-from .exact import UniPoly, _poly, _pseudo_divmod
+from .exact import BiPoly, UniPoly, _poly, _pseudo_divmod
 
 
 def hnf(rows) -> tuple:
@@ -436,12 +439,27 @@ def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
     return reduced(a.rows) == reduced(b.rows)
 
 
+def twist_ideal(gens: FractionalIdeal, form: OneForm) -> FractionalIdeal:
+    """theta_g on each generator, g = form.coefficient * x**x_shift: sum c_i d^i
+    goes to sum c_i (d - g)^i, as theta_g fixes the coefficients and sends d to
+    d - g.  It maps forge(p) onto the module of forge(omega_twist(p, form)).
+    Line and torus only: the hyperelliptic rule z -> z - g(x, y) is unprobed."""
+    if gens.curve.kind not in (AFFINE_LINE, TORUS) or form.curve != gens.curve:
+        raise ValueError("the twist needs a form on the ideal's own curve, the line or the torus")
+    ring = gens.generators[0].ring
+    xk = ring.coeff(UniPoly.monomial("x", abs(form.x_shift)))
+    g = sum(form.coefficient.coeffs_in_y(), ring.zero())  # no y on the line or torus
+    d_g = DiffOp(ring, [-g * (xk if form.x_shift >= 0 else xk.inv()), ring.one()])
+    powers = [DiffOp.from_coeff(ring.one())]  # (d - g)^i, each built once
+    while len(powers) < max(len(op.coeffs) for op in gens.generators):
+        powers.append(d_g.mul(powers[-1]))
+    return FractionalIdeal(gens.curve, tuple(
+        reduce(DiffOp.add, map(DiffOp.scalar_mul, powers, op.coeffs), DiffOp.zero(ring))
+        for op in gens.generators))
+
+
 def unit_conjugate(gens: FractionalIdeal, r: int) -> FractionalIdeal:
-    """Conjugate every generator by the unit x**r (torus only)."""
+    """Conjugate every generator by the unit x**r (torus only): the twist by r dx/x."""
     if gens.curve.kind != TORUS:
         raise ValueError("unit conjugation needs x invertible (torus model)")
-    xk = gens.generators[0].ring.coeff(UniPoly.monomial("x", abs(r)))
-    xr, xmr = (xk, xk.inv()) if r >= 0 else (xk.inv(), xk)
-    xr, xmr = DiffOp.from_coeff(xr), DiffOp.from_coeff(xmr)
-    return FractionalIdeal(gens.curve,
-                           tuple(xr.mul(g).mul(xmr) for g in gens.generators))
+    return twist_ideal(gens, OneForm(gens.curve, BiPoly.const(r), -1))

@@ -496,8 +496,8 @@ def _parabola_point_json(vs=(), ws=()):
     return dict(d, vs=d["vs"] + list(vs), ws=d["ws"] + list(ws))
 
 
-_GENERAL_PLANE = ("general plane models produce symbolic generators; the JSON schema "
-                  "covers the line, torus and hyperelliptic models")
+_GENERAL_PLANE = ("general plane models have no operator coefficient ring here; "
+                  "generators cover the line, torus and hyperelliptic models")
 
 # the documented preconditions, each with its detail; a fresh interpreter per
 # case, as in the cases above

@@ -152,8 +152,6 @@ def test_zero_operator_contract():
     assert z.is_zero
     with pytest.raises(ValueError):
         z.order()
-    with pytest.raises(ValueError):
-        z.principal_symbol()
 
 
 def test_ring_mismatch_rejected():

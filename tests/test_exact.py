@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from battery import fourier_points, full_battery
+from battery import fourier_points, full_battery, hyper_points
 from cmforge.cmspace import generic_point
 from cmforge.curve import affine_line, torus
 from cmforge.diffop import CoeffRing
-from cmforge.exact import (BiPoly, Mat, QQ, UniPoly, char_poly, rat,
+from cmforge.exact import (BiPoly, Mat, QQ, UniPoly, bipoly_apply, char_poly, rat,
                            rational_rank, resultant)
 from polyoracle import char_poly_oracle, sylvester_det
 
@@ -128,6 +128,50 @@ def test_mat_mul_and_det():
 def qmat(n):
     return st.lists(fracs, min_size=n * n, max_size=n * n).map(
         lambda es: Mat(QQ, n, n, es))
+
+
+def _termwise(f, a, b):
+    """sum c a^r b^s, each power a fresh product of factors."""
+    def power(m, k):
+        out = Mat.identity(m.ring, m.rows)
+        for _ in range(k):
+            out = out.mul(m)
+        return out
+    acc = Mat.zeros(a.ring, a.rows, a.rows)
+    for (r, s), c in f.items_sorted():
+        acc = acc.add(power(a, r).mul(power(b, s)).scalar_mul(a.ring.from_frac(c)))
+    return acc
+
+
+_BIPOLYS = [BiPoly({}), BiPoly.const(3), BiPoly.monomial(0, 1), BiPoly.monomial(1, 0, -2),
+            BiPoly({(2, 2): 1, (0, 0): 3}),  # x^2 y^2 + 3: a zero row in y
+            BiPoly({(0, 3): 1, (1, 0): Fraction(1, 2)}), BiPoly({(4, 1): 2, (0, 2): -1})]
+
+
+@given(st.integers(1, 3).flatmap(qmat), st.lists(st.tuples(
+    st.integers(0, 4), st.integers(0, 3), fracs), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_bipoly_apply_matches_termwise_sum(a, terms):
+    # Horner's rule against the term-by-term sum on the commuting pair (a, b)
+    b = a.mul(a).add(a.scalar_mul(Fraction(2)))
+    for f in _BIPOLYS + [BiPoly({(r, s): c for r, s, c in terms})]:
+        assert bipoly_apply(f, a, b) == _termwise(f, a, b), f
+        if f.degree_y() <= 0:
+            assert bipoly_apply(f, a) == _termwise(f, a, a)
+
+
+def test_bipoly_apply_on_curve_points_and_coefficients():
+    # X and Y of a hyperelliptic point commute; so do a matrix over Q(x) and x Id
+    p = hyper_points()[0]
+    ring = CoeffRing()
+    x = ring.x()
+    a = Mat(ring, 2, 2, [x, ring.one(), x.inv(), x * x + 1])
+    xid = Mat.identity(ring, 2).scalar_mul(x)
+    for f in _BIPOLYS:
+        assert bipoly_apply(f, p.Xmat, p.Ymat) == _termwise(f, p.Xmat, p.Ymat), f
+        assert bipoly_apply(f, a, xid) == _termwise(f, a, xid), f
+    with pytest.raises(ValueError):
+        bipoly_apply(BiPoly.monomial(0, 1), p.Xmat)
 
 
 @given(qmat(3))

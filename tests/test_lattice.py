@@ -17,7 +17,7 @@ from cmforge.exact import BiPoly, UniPoly, char_poly
 from cmforge.forge import ideal_generators
 from cmforge.lattice import (ClearingData, _cleared_ops, _d_row, _row, clearing_for,
                              codim, hnf, module_equal, span_filtration,
-                             unit_conjugate, x_saturate)
+                             twist_ideal, unit_conjugate, x_saturate)
 from polyoracle import bareiss_det, div_xk, mul_xk, x_valuation
 
 X = UniPoly.x("x")
@@ -677,3 +677,63 @@ def test_twist_equivariance_on_line():
                 cl = clearing_for(twisted, other)
                 assert module_equal(span_filtration(twisted, k, cl),
                                     span_filtration(other, k, cl)) == equal, (n, g, equal)
+
+
+# forms that vanish at no point of the battery: at a zero of g on spec X both
+# signs of the twist can give the same ideal (rank 1 at x = 0 with g = 2x)
+_LINE_FORMS = ((BiPoly({(1, 0): 2, (0, 0): 1}), 0), (BiPoly({(0, 0): 3, (2, 0): -1}), 0))
+_TORUS_FORMS = ((BiPoly({(1, 0): 2, (0, 0): 3}), -2), (BiPoly({(0, 0): 3, (2, 0): -1}), 0))
+
+
+def _twist_cases():
+    line = [generic_point(affine_line(), [0, 1, 3, -2][:n]) for n in range(1, 5)]
+    return ([(p, OneForm(p.curve, f, k)) for p in line for f, k in _LINE_FORMS]
+            + [(p, OneForm(p.curve, f, k)) for p in torus_points() for f, k in _TORUS_FORMS])
+
+
+def test_twist_ideal_equivariance():
+    # theta_g(forge(p)) spans the module of forge(omega_twist(p, g)) at kmax
+    # 2n + 6 under one clearing of both; the sign mutant d -> d + g does not
+    for p, form in _twist_cases():
+        base = ideal_generators(p)
+        twisted = ideal_generators(omega_twist(p, form))
+        mutant = twist_ideal(base, OneForm(p.curve, -form.coefficient, form.x_shift))
+        for image, equal in ((twist_ideal(base, form), True), (mutant, False)):
+            cl = clearing_for(image, twisted)
+            assert module_equal(span_filtration(image, 2 * p.n + 6, cl),
+                                span_filtration(twisted, 2 * p.n + 6, cl)) == equal, \
+                (p, form, equal)
+
+
+def test_twist_ideal_matches_substitution():
+    # on the line, d -> d - g generator by generator, as _substitute_d builds it
+    for p, form in _twist_cases():
+        if p.curve.kind != TORUS:
+            base = ideal_generators(p)
+            g = form.coefficient.coeffs_in_y()[0]
+            assert twist_ideal(base, form).generators == _substitute_d(base, -g).generators
+
+
+def test_twist_ideal_group_laws():
+    # theta_0 = id, theta_g1 theta_g2 = theta_(g1 + g2) and theta_g theta_-g =
+    # id on generator tuples; on the torus both forms carry the shift -2
+    g1 = BiPoly({(1, 0): 2, (0, 0): 3})
+    g2 = BiPoly({(0, 0): 3, (2, 0): -1})
+    for p in line_points() + torus_points():
+        base = ideal_generators(p)
+        k = -2 if p.curve.kind == TORUS else 0
+
+        def theta(gens, g):
+            return twist_ideal(gens, OneForm(p.curve, g, k))
+
+        assert theta(base, BiPoly({})).generators == base.generators
+        assert theta(theta(base, g2), g1).generators == theta(base, g1 + g2).generators
+        assert theta(theta(base, g1), -g1).generators == base.generators
+
+
+def test_twist_ideal_needs_line_or_torus_form():
+    p = hyper_points()[0]
+    with pytest.raises(ValueError):
+        twist_ideal(ideal_generators(p), OneForm(p.curve, BiPoly.const(1)))
+    with pytest.raises(ValueError):
+        twist_ideal(ideal_generators(line_points()[0]), OneForm(torus(), BiPoly.const(1)))
