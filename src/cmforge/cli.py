@@ -148,8 +148,8 @@ def _point_json(p: CMPoint) -> dict:
         "X": _mat_json(p.Xmat),
         "Y": _mat_json(p.Ymat),
         "Z": _mat_json(p.Zmat),
-        "vs": [[_frac_str(v.entry(i, 0)) for i in range(p.n)] for v in p.vs],
-        "ws": [[_frac_str(w.entry(0, j)) for j in range(p.n)] for w in p.ws],
+        "vs": _mat_json(p.V.transpose()),
+        "ws": _mat_json(p.W),
     }
 
 
@@ -170,12 +170,11 @@ def _parse_point(d) -> CMPoint:
     vs_raw, ws_raw = d.get("vs"), d.get("ws")
     if not isinstance(vs_raw, list) or not isinstance(ws_raw, list) or not vs_raw:
         raise SchemaError("point needs nonempty 'vs' and 'ws' lists")
-    vs = [Mat(QQ, n, 1, [_parse_frac(e) for e in _expect_list(v, n, "vs entry")])
-          for v in vs_raw]
-    ws = [Mat(QQ, 1, n, [_parse_frac(e) for e in _expect_list(w, n, "ws entry")])
-          for w in ws_raw]
+    vs = [_parse_frac(e) for v in vs_raw for e in _expect_list(v, n, "vs entry")]
+    ws = [_parse_frac(e) for w in ws_raw for e in _expect_list(w, n, "ws entry")]
     try:
-        return CMPoint(c, n, X, Y, Z, vs, ws)
+        return CMPoint(c, X, Y, Z, Mat(QQ, len(vs_raw), n, vs).transpose(),
+                       Mat(QQ, len(ws_raw), n, ws))
     except ValueError as e:
         raise SchemaError(str(e))
 
@@ -353,9 +352,7 @@ def _random_module(rng, nmax=3) -> CMPoint:
         return Mat(QQ, r, c, [Fraction(rng.randint(-3, 3)) for _ in range(r * c)])
 
     X, Z, V, W = rmat(n, n), rmat(n, n), rmat(n, k), rmat(k, n)
-    return CMPoint(curvemod.affine_line(), n, X, None, Z,
-                   [Mat(QQ, n, 1, V.col(j)) for j in range(k)],
-                   [Mat(QQ, 1, n, W.row(i)) for i in range(k)])
+    return CMPoint(curvemod.affine_line(), X, None, Z, V, W)
 
 
 def _handle_euler(payload, ns):

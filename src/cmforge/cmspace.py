@@ -1,10 +1,11 @@
 """Calogero-Moser matrix data attached to a curve model.
 
 A point of the n-th Calogero-Moser space is a tuple of matrices (X, [Y,] Z)
-with framing vectors (v_i, w_i) satisfying the deformed commutation relations
-of the curve, taken up to simultaneous conjugation.  This module builds such
-points, verifies the relations, computes linear-algebra invariants (commutant,
-tangent space, Hom/Ext dimensions) and applies the symmetry actions.
+with framing matrices V and W (columns v_i, rows w_i) satisfying the deformed
+commutation relations of the curve, taken up to simultaneous conjugation.
+This module builds such points, verifies the relations, computes
+linear-algebra invariants (commutant, tangent space, Hom/Ext dimensions) and
+applies the symmetry actions.
 """
 
 from __future__ import annotations
@@ -89,61 +90,44 @@ def relation_set(c: "curvemod.CurveModel", n: int, n_pairs: int):
 
 @dataclass(frozen=True, slots=True, repr=False)
 class CMPoint:
-    """Framed module (X, [Y,] Z, v_i, w_i) over Q for a curve model.
+    """Framed module (X, [Y,] Z, V, W) over Q for a curve model.
 
     A point is a representation of the framed quiver: X, [Y,] Z act on the
-    vertex space Q^n, and the framing space Q^n_inf maps in by the columns
-    v_i and out by the rows w_i (gathered as V and W).  Y is present exactly
-    for plane models; the framing may be empty.  Construction checks shapes
-    only; use verify_relations for the defining equations.
+    vertex space Q^n, and the framing space Q^n_inf maps in by V (n x n_inf,
+    the columns v_i) and out by W (n_inf x n, the rows w_i); n and n_inf are
+    read off the shapes.  Y is present exactly for plane models; the framing
+    may be empty.  Construction checks shapes only; use verify_relations for
+    the defining equations.
     """
 
     curve: curvemod.CurveModel
-    n: int
     Xmat: Mat
     Ymat: Mat | None
     Zmat: Mat
-    vs: tuple
-    ws: tuple
+    V: Mat
+    W: Mat
 
     def __post_init__(self):
-        n, Xmat, Ymat, Zmat = self.n, self.Xmat, self.Ymat, self.Zmat
-        if n < 0:
-            raise ValueError("negative rank")
-        vs = tuple(self.vs)
-        ws = tuple(self.ws)
-        if len(vs) != len(ws):
-            raise ValueError("need matching framing vector lists")
-        for m, label in ((Xmat, "X"), (Zmat, "Z")):
-            if m.rows != n or m.cols != n:
-                raise ValueError("%s must be %d x %d" % (label, n, n))
+        n = self.n
+        if self.Xmat.cols != n or (self.Zmat.rows, self.Zmat.cols) != (n, n):
+            raise ValueError("X and Z must be square of one size")
         if self.curve.has_y:
-            if Ymat is None or Ymat.rows != n or Ymat.cols != n:
+            if self.Ymat is None or (self.Ymat.rows, self.Ymat.cols) != (n, n):
                 raise ValueError("plane models need an n x n Y matrix")
-        elif Ymat is not None:
+        elif self.Ymat is not None:
             raise ValueError("Y is only defined for plane models")
-        for v in vs:
-            if v.rows != n or v.cols != 1:
-                raise ValueError("framing columns must be n x 1")
-        for w in ws:
-            if w.rows != 1 or w.cols != n:
-                raise ValueError("framing rows must be 1 x n")
-        object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "ws", ws)
+        if self.V.cols != self.W.rows:
+            raise ValueError("need matching framing vector lists")
+        if self.V.rows != n or self.W.cols != n:
+            raise ValueError("V must be n x n_inf and W n_inf x n")
+
+    @property
+    def n(self) -> int:
+        return self.Xmat.rows
 
     @property
     def n_inf(self) -> int:
-        return len(self.vs)
-
-    @property
-    def V(self) -> Mat:
-        """The framing columns v_i as one n x n_inf matrix."""
-        return Mat(QQ, self.n_inf, self.n, [e for v in self.vs for e in v.entries]).transpose()
-
-    @property
-    def W(self) -> Mat:
-        """The framing rows w_i as one n_inf x n matrix."""
-        return Mat(QQ, self.n_inf, self.n, [e for w in self.ws for e in w.entries])
+        return self.V.cols
 
     @property
     def weight(self):
@@ -166,7 +150,9 @@ class CMPoint:
         if sym == "Z":
             return self.Zmat
         kind, i = sym
-        return self.vs[i] if kind == "v" else self.ws[i]
+        if kind == "v":
+            return Mat(QQ, self.n, 1, self.V.col(i))
+        return Mat(QQ, 1, self.n, self.W.row(i))
 
     def __repr__(self):
         return "CMPoint(%r, n=%d)" % (self.curve, self.n)
@@ -289,9 +275,8 @@ def generic_point(c: "curvemod.CurveModel", pts, alphas=None) -> CMPoint:
         Y = Mat(QQ, n, n, [ys[i] if i == j else Fraction(0)
                            for i in range(n) for j in range(n)])
     Z = Mat(QQ, n, n, [zentry(i, j) for i in range(n) for j in range(n)])
-    v = Mat(QQ, n, 1, [Fraction(1)] * n)
-    w = Mat(QQ, 1, n, [Fraction(-1)] * n)
-    return CMPoint(c, n, X, Y, Z, [v], [w])
+    return CMPoint(c, X, Y, Z, Mat(QQ, n, 1, [Fraction(1)] * n),
+                   Mat(QQ, 1, n, [Fraction(-1)] * n))
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,8 @@ class Mat:
 
     def __init__(self, ring, rows: int, cols: int, entries):
         entries = tuple(entries)
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix shape %dx%d" % (rows, cols))
         if len(entries) != rows * cols:
             raise ValueError("entry count %d does not match %dx%d" % (len(entries), rows, cols))
         object.__setattr__(self, "ring", ring)

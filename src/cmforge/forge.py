@@ -167,7 +167,7 @@ def _correction_factors(p: CMPoint, i: int, z_factor: Mat) -> list:
             liftX = _lift(p.Xmat.transpose(), _RF)
             yfac = _resolvent(Yt, "y").mul(bipoly_apply(c.F, liftX, ydiag))
         factors.append(("y", yfac))
-    factors.append((None, p.ws[i].transpose()))
+    factors.append((None, Mat(QQ, p.n, 1, p.W.row(i))))
     return factors
 
 
@@ -284,7 +284,7 @@ def _z_rows(p: CMPoint, det_z: UniPoly) -> list:
     times the z^k vector of adj(Z - z Id) * vbar."""
     sign = _kappa_sign(p.curve)
     return [[sign * e for e in c]
-            for c in _adjugate_times(p.Zmat, det_z, p.vs[0].col(0))]
+            for c in _adjugate_times(p.Zmat, det_z, p.V.col(0))]
 
 
 def _x_numerators(us: list, cols: list) -> list:
@@ -307,10 +307,10 @@ def _z_generator(p: CMPoint, ring: CoeffRing, gx: UniPoly, det_z: UniPoly) -> Di
     n = p.n
     us = _z_rows(p, det_z)
     Xt = p.Xmat.transpose()
-    w = p.ws[0].row(0)
+    w = p.W.row(0)
     if ring.P is not None:
         # (Y^t + y Id) w^t = (w Y)^t + y w^t
-        As = _x_numerators(us, _adjugate_times(Xt, gx, p.ws[0].mul(p.Ymat).row(0)))
+        As = _x_numerators(us, _adjugate_times(Xt, gx, p.W.mul(p.Ymat).row(0)))
         Bs = _x_numerators(us, _adjugate_times(Xt, gx, w))
     else:
         As = _x_numerators(us, _adjugate_times(Xt, gx, w))

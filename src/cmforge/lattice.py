@@ -295,8 +295,7 @@ def _row(op: DiffOp, k: int) -> list[UniPoly]:
     for i in range(k, -1, -1):
         c = op.coeff(i)
         if not c.is_polynomial():
-            raise PreconditionError(
-                "clearing left a non-polynomial coefficient: %r" % (c,))
+            raise ValueError("clearing left a non-polynomial coefficient: %r" % (c,))
         vec.append(c.as_poly())
     return vec
 

@@ -36,7 +36,7 @@ def hyper_points():
 
 def fourier(p):
     """(X, Z, v, w) -> (Z, -X, v, w) on a line point; keeps [Z, X] - I = v w."""
-    return CMPoint(p.curve, p.n, p.Zmat, None, p.Xmat.neg(), p.vs, p.ws)
+    return CMPoint(p.curve, p.Zmat, None, p.Xmat.neg(), p.V, p.W)
 
 
 def fourier_points():
@@ -56,10 +56,7 @@ def framed_module(X, Z, V, W, Y=None, curve=None):
     """The point on curve (default the line) with vertex actions X, [Y,] Z
     and framing arrows V (n x n_inf, the v_i as columns) and W (n_inf x n,
     the w_i as rows)."""
-    n = X.rows
-    return CMPoint(curve or affine_line(), n, X, Y, Z,
-                   [Mat(QQ, n, 1, V.col(j)) for j in range(V.cols)],
-                   [Mat(QQ, 1, n, W.row(i)) for i in range(W.rows)])
+    return CMPoint(curve or affine_line(), X, Y, Z, V, W)
 
 
 def direct_sum(a, b):

@@ -307,6 +307,16 @@ def test_exit_1_on_unknown_curve(tmp_path, capsys):
     assert main(["verify", pt]) == 1
 
 
+def test_exit_1_on_mismatched_framing(tmp_path, capsys):
+    # two v columns against one w row: the only point shape check that the
+    # codec leaves to CMPoint
+    pt = _write(tmp_path, "p.json", _line_point_json(vs=[["1"], ["0"]]))
+    assert main(["verify", pt]) == 1
+    assert capsys.readouterr().err == json.dumps(
+        {"detail": "need matching framing vector lists", "error": "schema"},
+        sort_keys=True, indent=2) + "\n"
+
+
 def test_exit_2_on_forge_precondition(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", _line_point_json(vs=[["2"]]))
     assert main(["forge", bad]) == 2

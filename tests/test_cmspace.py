@@ -88,9 +88,18 @@ def test_alphas_shift_diagonal():
 def test_point_shape_validation():
     p = line_points()[0]
     with pytest.raises(ValueError):
-        CMPoint(affine_line(), 1, p.Xmat, Mat.identity(QQ, 1), p.Zmat, p.vs, p.ws)
+        CMPoint(affine_line(), p.Xmat, Mat.identity(QQ, 1), p.Zmat, p.V, p.W)
     with pytest.raises(ValueError):
-        CMPoint(affine_line(), 2, p.Xmat, None, p.Zmat, p.vs, p.ws)
+        CMPoint(affine_line(), p.Xmat, None, Mat.identity(QQ, 2), p.V, p.W)
+    with pytest.raises(ValueError, match="V must be"):
+        CMPoint(affine_line(), p.Xmat, None, p.Zmat, Mat(QQ, 2, 1, [q(1), q(0)]), p.W)
+    with pytest.raises(ValueError, match="V must be"):
+        CMPoint(affine_line(), p.Xmat, None, p.Zmat, p.V, Mat(QQ, 1, 2, [q(-1), q(0)]))
+    with pytest.raises(ValueError, match="matching framing"):
+        CMPoint(affine_line(), p.Xmat, None, p.Zmat, p.V, Mat(QQ, 2, 1, [q(-1), q(0)]))
+    # n is X.rows, so a negative rank is a negative matrix shape
+    with pytest.raises(ValueError, match="negative matrix shape"):
+        Mat(QQ, -1, -1, [q(1)])
 
 
 def test_weight_and_ninf():
@@ -340,7 +349,7 @@ def test_omega_twist_huge_shift_is_bounded():
             "from cmforge.curve import torus\n"
             "from cmforge.exact import BiPoly, Mat, QQ\n"
             "one = Mat(QQ, 1, 1, [Fraction(1)])\n"
-            "p = CMPoint(torus(), 1, one, None, Mat(QQ, 1, 1, [Fraction(0)]), [one], [one.neg()])\n"
+            "p = CMPoint(torus(), one, None, Mat(QQ, 1, 1, [Fraction(0)]), one, one.neg())\n"
             "for k in (10 ** 6, -10 ** 6):\n"
             "    assert omega_twist(p, OneForm(torus(), BiPoly.const(1), x_shift=k)).Zmat == one\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))

@@ -114,7 +114,7 @@ def test_kappa_index_bounds():
 
 def test_kappa_rank_zero_has_no_correction():
     empty = Mat(QQ, 0, 0, [])
-    p = CMPoint(affine_line(), 0, empty, None, empty, [Mat(QQ, 0, 1, [])], [Mat(QQ, 1, 0, [])])
+    p = CMPoint(affine_line(), empty, None, empty, Mat(QQ, 0, 1, []), Mat(QQ, 1, 0, []))
     assert kappa(p) is None
 
 
@@ -183,8 +183,8 @@ def test_ideal_generators_cover_battery():
 def test_ideal_generators_requires_verified_point():
     # doubling the framing column breaks zx-commutator and framing-trace
     good = generic_point(affine_line(), [0])
-    broken = CMPoint(good.curve, 1, good.Xmat, None, good.Zmat,
-                     [Mat(QQ, 1, 1, [Fraction(2)])], good.ws)
+    broken = CMPoint(good.curve, good.Xmat, None, good.Zmat,
+                     Mat(QQ, 1, 1, [Fraction(2)]), good.W)
     with pytest.raises(PreconditionError) as exc:
         ideal_generators(broken)
     assert exc.value.report is not None
@@ -192,8 +192,8 @@ def test_ideal_generators_requires_verified_point():
 
 
 def test_ideal_generators_rank_zero_unit():
-    p0 = CMPoint(affine_line(), 0, Mat(QQ, 0, 0, []), None, Mat(QQ, 0, 0, []),
-                 [Mat(QQ, 0, 1, [])], [Mat(QQ, 1, 0, [])])
+    p0 = CMPoint(affine_line(), Mat(QQ, 0, 0, []), None, Mat(QQ, 0, 0, []),
+                 Mat(QQ, 0, 1, []), Mat(QQ, 1, 0, []))
     assert verify_relations(p0).ok
     ideal = ideal_generators(p0)
     assert len(ideal.generators) == 1
@@ -203,9 +203,9 @@ def test_ideal_generators_rank_zero_unit():
 def test_ideal_generators_needs_single_framing_pair():
     # a zero second framing pair keeps every relation intact
     p = line_points()[0]
-    doubled = CMPoint(p.curve, 1, p.Xmat, None, p.Zmat,
-                      [p.vs[0], Mat(QQ, 1, 1, [Fraction(0)])],
-                      [p.ws[0], Mat(QQ, 1, 1, [Fraction(0)])])
+    doubled = CMPoint(p.curve, p.Xmat, None, p.Zmat,
+                      Mat(QQ, 1, 2, p.V.entries + (Fraction(0),)),
+                      Mat(QQ, 2, 1, p.W.entries + (Fraction(0),)))
     assert verify_relations(doubled).ok
     with pytest.raises(ValueError, match="trivial-ideal tier"):
         ideal_generators(doubled)
@@ -242,8 +242,8 @@ def _conjugate(p, g):
     def conj(m):
         return None if m is None else g.mul(m).mul(gi)
 
-    return CMPoint(p.curve, p.n, conj(p.Xmat), conj(p.Ymat), conj(p.Zmat),
-                   [g.mul(v) for v in p.vs], [w.mul(gi) for w in p.ws])
+    return CMPoint(p.curve, conj(p.Xmat), conj(p.Ymat), conj(p.Zmat),
+                   g.mul(p.V), p.W.mul(gi))
 
 
 def _random_gl(rng, n):
@@ -291,9 +291,8 @@ def test_forge_is_gauge_invariant():
     for p in full_battery():
         want = _forge_bytes(p)
         assert _forge_bytes(_conjugate(p, _random_gl(rng, p.n))) == want
-        scaled = CMPoint(p.curve, p.n, p.Xmat, p.Ymat, p.Zmat,
-                         [v.scalar_mul(Fraction(3, 7)) for v in p.vs],
-                         [w.scalar_mul(Fraction(7, 3)) for w in p.ws])
+        scaled = CMPoint(p.curve, p.Xmat, p.Ymat, p.Zmat,
+                         p.V.scalar_mul(Fraction(3, 7)), p.W.scalar_mul(Fraction(7, 3)))
         assert _forge_bytes(scaled) == want
 
 
