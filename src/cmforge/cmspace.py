@@ -436,19 +436,23 @@ def omega_twist(p: CMPoint, form: OneForm) -> CMPoint:
     """Twist by a one-form coefficient: Z -> Z + g(X, Y)."""
     if form.curve != p.curve:
         raise ValueError("one-form belongs to a different curve")
-    G = bipoly_apply(form.coefficient, p.Xmat, p.Ymat)
-    k = form.x_shift
-    if k:
-        # X**k by repeated squaring, X**-1 in place of X for k < 0
-        try:
-            base = p.Xmat if k > 0 else p.Xmat.inv()
-        except ZeroDivisionError:
-            raise PreconditionError("X is singular: the point is not x-invertible") from None
-        k = abs(k)
-        while k:
-            if k & 1:
-                G = G.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
+    f, k = form.coefficient, form.x_shift
+    if not k:
+        return replace(p, Zmat=p.Zmat.add(bipoly_apply(f, p.Xmat, p.Ymat)))
+    # X**k by repeated squaring, X**-1 in place of X for k < 0
+    try:
+        base = p.Xmat if k > 0 else p.Xmat.inv()
+    except ZeroDivisionError:
+        raise PreconditionError("X is singular: the point is not x-invertible") from None
+    k, Xk = abs(k), None
+    while k:
+        if k & 1:
+            Xk = base if Xk is None else Xk.mul(base)
+        k >>= 1
+        if k:
+            base = base.mul(base)
+    if set(f.terms) <= {(0, 0)}:  # a constant form scales X**k
+        G = Xk.scalar_mul(p.Xmat.ring.from_frac(f.terms.get((0, 0), 0)))
+    else:
+        G = bipoly_apply(f, p.Xmat, p.Ymat).mul(Xk)
     return replace(p, Zmat=p.Zmat.add(G))

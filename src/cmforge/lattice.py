@@ -4,19 +4,21 @@ Operators are compared through their coefficient rows over Q[x]: every
 generator is cleared to polynomial form by one recorded right multiplier
 s**M (``clearing_for``: s squarefree, M read off the pole orders by a
 valuation argument; degree n**2 on forge output), ``_levels`` yields the
-derivative rows of the level k span level by level, and row-span questions
-(codimension, equality) reduce to Hermite forms, which ``codim`` keeps in
-the descent's integer rows.  Right multiplication by a
-polynomial f is triangular on the rows with f on the diagonal, so it scales
-every Hermite pivot by f: the codimensions do not depend on the multiplier,
-and ``codim``'s ambient pivot is that of the s**M span.
-One descent (``_descend``) gives the Hermite form over Q[x] (``hnf``) and,
-on the torus, over Q[x, 1/x] (``x_saturate``), where x is a unit: there
+derivative rows of the level k span level by level, and codimensions reduce
+to Hermite forms, which ``codim`` keeps in the descent's integer rows.
+Right multiplication by a polynomial f is triangular on the rows with f on
+the diagonal, so it scales every Hermite pivot by f: the codimensions do not
+depend on the multiplier, and ``codim``'s ambient pivot is that of the s**M
+span.  One descent (``_descend``) gives the Hermite form over Q[x] (``hnf``)
+and, on the torus, over Q[x, 1/x] (``x_saturate``), where x is a unit: there
 pivots are normalised in their row's own frame (the row over the pivot's
 x-power) and entries above a pivot are reduced into a residue window of
-that frame.  Rows are tuples of UniPoly in x, and a Hermite form is the
-tuple of its nonzero rows.  ``twist_ideal`` applies the twist by a one-form
-(d -> d - g) to an ideal's generators; ``unit_conjugate`` is its r dx/x case.
+that frame.  Equality of spans (``module_equal``) builds no canonical form:
+it compares the pivots of the echelon half of the descent (``_echelon``)
+and tests containment.  Rows are tuples of UniPoly in x, and a Hermite form
+is the tuple of its nonzero rows.  ``twist_ideal`` applies the twist by a
+one-form (d -> d - g) to an ideal's generators; ``unit_conjugate`` is its
+r dx/x case.
 """
 
 from __future__ import annotations
@@ -93,14 +95,44 @@ def _descend(rows: list, ncols: int, laurent: bool) -> int:
     and entries are divided with their x-powers stripped, the valuation
     difference moved onto the quotient or onto the row being reduced.
 
+    First the echelon descent (``_echelon``).  Then, pivot by pivot, each
+    entry above the pivot (stripped pivot p0, length L) is reduced into the
+    window [v_i, v_i + L), v_i the valuation of its row's pivot: a bottom
+    pseudo-division clears the exponents below v_i with multiples x^j*p0, a
+    top one those from v_i + L on.  The residues mod p0 have exactly one
+    representative in any window of L consecutive exponents, because p0(0)
+    != 0 makes x invertible mod p0.  The echelon descent never touches the
+    rows above a pivot, so this is the arithmetic of reducing above each
+    pivot as soon as it is found.
+    """
+    val = _val if laurent else lambda e: 0
+    pcols = _echelon(rows, ncols, laurent)
+    for r, c in enumerate(pcols):
+        p = rows[r][c]
+        vp = val(p)
+        p0 = p[vp:]
+        for i in range(r):
+            vi = val(rows[i][pcols[i]])
+            e = rows[i][c]
+            ve = val(e) if e else vi
+            if ve < vi:
+                q, s = _low_pseudo_divmod(e[ve:], p0, vi - ve)
+                rows[i] = _reduce(rows[i], s, q, rows[r], ve - vp, laurent)
+                vi = val(rows[i][pcols[i]])
+                e = rows[i][c]
+            if len(e) - vi >= len(p0):
+                q, _, s = _pseudo_divmod(e[vi:] if vi else e, p0)
+                rows[i] = _reduce(rows[i], s, q, rows[r], vi - vp, laurent)
+    return len(pcols)
+
+
+def _echelon(rows: list, ncols: int, laurent: bool) -> list[int]:
+    """Echelon descent in place on primitive int rows (valuations as in
+    ``_descend``); returns the pivot columns, pivot r in row r.
+
     Per column: the entry of least length becomes the pivot and every entry
     below it is pseudo-divided by it, row_i <- s*row_i - q*row_r, until only
-    the pivot survives.  Then each entry above the pivot (stripped pivot p0,
-    length L) is reduced into the window [v_i, v_i + L), v_i the valuation
-    of its row's pivot: a bottom pseudo-division clears the exponents below
-    v_i with multiples x^j*p0, a top one those from v_i + L on.  The residues
-    mod p0 have exactly one representative in any window of L consecutive
-    exponents, because p0(0) != 0 makes x invertible mod p0.
+    the pivot survives.  Rows from the rank on end zero.
     """
     val = _val if laurent else lambda e: 0
     nrows = len(rows)
@@ -129,26 +161,10 @@ def _descend(rows: list, ncols: int, laurent: bool) -> int:
                     done = done and not any(rem)
             if done:
                 break
-        if not rows[r][c]:
-            continue
-        p = rows[r][c]
-        vp = val(p)
-        p0 = p[vp:]
-        for i in range(r):
-            vi = val(rows[i][pcols[i]])
-            e = rows[i][c]
-            ve = val(e) if e else vi
-            if ve < vi:
-                q, s = _low_pseudo_divmod(e[ve:], p0, vi - ve)
-                rows[i] = _reduce(rows[i], s, q, rows[r], ve - vp, laurent)
-                vi = val(rows[i][pcols[i]])
-                e = rows[i][c]
-            if len(e) - vi >= len(p0):
-                q, _, s = _pseudo_divmod(e[vi:] if vi else e, p0)
-                rows[i] = _reduce(rows[i], s, q, rows[r], vi - vp, laurent)
-        pcols.append(c)
-        r += 1
-    return r
+        if rows[r][c]:
+            pcols.append(c)
+            r += 1
+    return pcols
 
 
 def _low_pseudo_divmod(a: list, b: list, n: int) -> tuple[list, int]:
@@ -418,14 +434,18 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
 
 
 def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
-    """Equality of row spans, decided by identical Hermite forms.
+    """Equality of row spans, over Q[x] on the line and over Q[x, 1/x] on the
+    torus, where the clearing is only canonical up to x-power units.
 
-    Spans are compared over Q[x] for the line (``hnf``).  Over the torus the
-    clearing is only canonical up to x-power units, so both sides are
-    compared over Q[x, 1/x] through x_saturate: its pivot normal form, each
-    pivot monic with a nonzero constant term in its row's frame and the
-    entries above it in their residue windows, depends only on the Laurent
-    span.
+    No canonical form is built: each side gets the echelon descent only
+    (``_echelon``).  Over a PID the pivot of each column generates an
+    invariant of the row module, the ideal of that column's entries among
+    the elements that vanish left of it, so spans with different pivot
+    columns or pivot lengths (degree on the line, degree minus x-valuation
+    on the torus) differ.  Otherwise each echelon row of b must lie in the
+    span of a's (``_member``).  Then b is a submodule of a whose pivots, on
+    the same columns, have the lengths of a's, so dim a/b, the sum of the
+    pivot length differences (as in ``codim``), is 0 and the spans are equal.
     """
     if a.k != b.k:
         raise ValueError("modules at different filtration levels")
@@ -434,8 +454,40 @@ def module_equal(a: FiltrationModule, b: FiltrationModule) -> bool:
     if a.clearing != b.clearing:
         raise ValueError("modules cleared differently; build both with a common clearing")
 
-    reduced = x_saturate if a.kind == TORUS else hnf
-    return reduced(a.rows) == reduced(b.rows)
+    laurent = a.kind == TORUS
+    val = _val if laurent else lambda e: 0
+    bases = []  # per side, pivot column -> echelon row
+    for rows in (a.rows, b.rows):
+        ints = _int_rows(rows)
+        if laurent:
+            ints = [_strip(row) for row in ints]
+        bases.append(dict(zip(_echelon(ints, len(rows[0]) if rows else 0, laurent), ints)))
+    pivots = [[(c, len(row[c]) - val(row[c])) for c, row in basis.items()] for basis in bases]
+    if pivots[0] != pivots[1]:
+        return False
+    return all(_member(row, bases[0], laurent) for row in bases[1].values())
+
+
+def _member(row: list, basis: dict, laurent: bool) -> bool:
+    """Whether an int row lies in the span of echelon rows, given as a map
+    from pivot column to row: column by column, a nonzero entry must sit on a
+    pivot column and be divisible by that pivot (x-powers stripped with
+    laurent), and the row less that multiple of the pivot row goes on."""
+    val = _val if laurent else lambda e: 0
+    for c in range(len(row)):
+        e = row[c]
+        if not e:
+            continue
+        prow = basis.get(c)
+        if prow is None:
+            return False
+        p = prow[c]
+        ve, vp = val(e), val(p)
+        q, rem, s = _pseudo_divmod(e[ve:], p[vp:])
+        if any(rem):
+            return False
+        row = _reduce(row, s, q, prow, ve - vp, laurent)
+    return True
 
 
 def twist_ideal(gens: FractionalIdeal, form: OneForm) -> FractionalIdeal:

@@ -1,6 +1,7 @@
 """Hermite forms, clearings, filtration spans, codimension, saturation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from battery import fourier_points, hyper_points, line_points, torus_points
 from cmforge.cmspace import OneForm, generic_point, lambda_act, omega_twist
-from cmforge.curve import TORUS, affine_line, torus
+from cmforge.curve import AFFINE_LINE, TORUS, affine_line, torus
 from cmforge.diffop import (CoeffRing, DiffOp, FractionalIdeal, clearing_denominator,
                             coeff_ring_for)
 from cmforge.errors import PreconditionError
 from cmforge.exact import BiPoly, UniPoly, char_poly
 from cmforge.forge import ideal_generators
-from cmforge.lattice import (ClearingData, _cleared_ops, _d_row, _row, clearing_for,
+from cmforge.lattice import (ClearingData, FiltrationModule, _cleared_ops, _d_row, _echelon,
+                             _int_rows, _row, _strip, _val, clearing_for,
                              codim, hnf, module_equal, span_filtration,
                              twist_ideal, unit_conjugate, x_saturate)
 from polyoracle import bareiss_det, div_xk, mul_xk, x_valuation
@@ -626,6 +628,102 @@ def test_module_equal_guards():
     other = span_filtration(ideal, 3, ClearingData(X * X * X, 2))
     with pytest.raises(ValueError):
         module_equal(a, other)
+
+
+def _canon(m):
+    # the canonical form that module_equal avoids building: equal forms are
+    # equal spans (hnf on the line, x_saturate on the torus)
+    return x_saturate(m.rows) if m.kind == TORUS else hnf(m.rows)
+
+
+def _recombined(rows, rng):
+    # rows after seeded unimodular row operations over Q[x]:
+    # row_i <- c*(row_i + f*row_j) with c a nonzero rational and f = c' or c'*x
+    rows = [list(r) for r in rows]
+    for _ in range(4):
+        i, j = rng.sample(range(len(rows)), 2)
+        f = UniPoly("x", [0] * rng.randint(0, 1) + [rng.choice((-2, -1, 1, 3))])
+        c = Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 3)))
+        rows[i] = [c * (a + f * b) for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _perturbed(rows, rng):
+    # one row times x - c, or 1 or -1 added to one entry, or nothing
+    rows = [list(r) for r in rows]
+    i = rng.randrange(len(rows))
+    how = rng.choice(("none", "times", "stray"))
+    if how == "times":
+        rows[i] = [(X - rng.randint(-2, 2)) * e for e in rows[i]]
+    elif how == "stray":
+        j = rng.randrange(len(rows[i]))
+        rows[i][j] = rows[i][j] + rng.choice((-1, 1))
+    return rows
+
+
+def test_module_equal_matches_canonical_forms():
+    # oracle: module_equal(a, b) is the equality of the canonical forms, for
+    # b a recombination of a's rows, sometimes perturbed; line ranks 1-4 and
+    # the torus points, at k = n + 1 and 2n + 2
+    rng = random.Random(24)
+    line = [generic_point(affine_line(), [0, 1, 3, -2][:n]) for n in range(1, 5)]
+    seen = {True: 0, False: 0}
+    for p in line + torus_points():
+        ideal = ideal_generators(p)
+        cl = clearing_for(ideal)
+        for k in (p.n + 1, 2 * p.n + 2):
+            a = span_filtration(ideal, k, cl)
+            for _ in range(6):
+                b = replace(a, rows=_pm(_perturbed(_recombined(a.rows, rng), rng)))
+                got = module_equal(a, b)
+                assert got == (_canon(a) == _canon(b)), (p, k, b.rows)
+                assert module_equal(b, a) == got
+                seen[got] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _echelon_invariants(m):
+    # the pivot columns and pivot lengths of the echelon descent alone
+    laurent = m.kind == TORUS
+    rows = _int_rows(m.rows)
+    rows = [_strip(r) for r in rows] if laurent else rows
+    pcols = _echelon(rows, m.k + 1, laurent)
+    return pcols, [len(r[c]) - (_val(r[c]) if laurent else 0) for r, c in zip(rows, pcols)]
+
+
+def test_module_equal_needs_containment():
+    # the mismatched twist at the torus point (1, 2), kmax 10: both echelon
+    # forms have the same pivot columns and lengths, yet the spans differ
+    p = torus_points()[1]
+    conj = unit_conjugate(ideal_generators(p), 1)
+    acted = ideal_generators(lambda_act(p, -1))
+    cl = clearing_for(conj, acted)
+    a, b = span_filtration(conj, 10, cl), span_filtration(acted, 10, cl)
+    assert _echelon_invariants(a) == _echelon_invariants(b)
+    assert _canon(a) != _canon(b)
+    assert not module_equal(a, b) and not module_equal(b, a)
+
+
+def test_module_equal_entry_off_the_pivots():
+    # span{(1, x)} and span{(1, 0)}: one pivot each, on column 0 with length
+    # 1, but (1, x) less its multiple of (1, 0) leaves x on a column that has
+    # no pivot
+    cl = ClearingData(ONE, 0)
+    a = FiltrationModule(AFFINE_LINE, 1, ((ONE, ZERO),), cl)
+    b = FiltrationModule(AFFINE_LINE, 1, ((ONE, X),), cl)
+    assert _echelon_invariants(a) == _echelon_invariants(b)
+    assert not module_equal(a, b) and not module_equal(b, a)
+
+
+def test_module_equal_x_is_a_unit_on_the_torus_only():
+    # the last row times x: the same Laurent span at the torus point (1, 2),
+    # a smaller Q[x] span at the line point (0, 1)
+    for p, equal in ((torus_points()[1], True), (line_points()[1], False)):
+        ideal = ideal_generators(p)
+        a = span_filtration(ideal, 2 * p.n + 6, clearing_for(ideal))
+        b = replace(a, rows=a.rows[:-1] + (tuple(X * e for e in a.rows[-1]),))
+        assert (_canon(a) == _canon(b)) == equal
+        assert module_equal(a, b) == equal and module_equal(b, a) == equal
 
 
 def test_unit_conjugate_matches_twist_span():
