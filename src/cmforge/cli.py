@@ -122,7 +122,7 @@ def _parse_curve(d) -> curvemod.CurveModel:
                 return curvemod.hyperelliptic(_parse_poly(d["P"]))
         except SchemaError:
             raise
-        except Exception as e:
+        except (TypeError, ValueError) as e:
             raise SchemaError("bad plane curve data: %s" % (e,))
         raise SchemaError("plane curve needs 'F' or 'P'")
     raise SchemaError("unknown curve kind %r" % (kind,))
@@ -257,7 +257,7 @@ def _verify_json(report) -> dict:
 # ---------------------------------------------------------------------------
 
 # the most trials euler and szego-demo run (1000 szego-demo trials take
-# about 8 s on a 2-core Xeon)
+# about 2-2.5 s on a 2-core Xeon)
 _MAX_TRIALS = 1000
 
 
@@ -331,7 +331,7 @@ def _handle_act(payload, ns):
         g = _parse_terms(json.loads(omega))
     except SchemaError:
         raise
-    except Exception as e:
+    except (TypeError, ValueError, RecursionError) as e:  # RecursionError: JSON nested too deep
         raise SchemaError("bad --omega coefficient: %s" % (e,))
     form = OneForm(p.curve, g, ns.x_shift)
     return _point_json(omega_twist(p, form))
@@ -464,7 +464,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int too long to read
+    except (OSError, ValueError, RecursionError) as e:  # bad JSON, too deep, or an overlong int
         raise SchemaError("cannot read %s: %s" % (path, e))
 
 

@@ -164,15 +164,15 @@ def smoothness_check(c: CurveModel):
     if c.kind != PLANE_CURVE:
         raise ValueError("smoothness check applies to plane curves only")
     F = c.F
-    fc = F.coeffs_in_y("x")
+    fc = F.coeffs_in_y()
     if F.degree_y() <= 0 or F.degree_x() <= 0:
         # univariate: squarefree exactly when coprime to its derivative
         f = fc[0] if F.degree_y() <= 0 else UniPoly("y", [e.coeff(0) for e in fc])
         g = f.gcd(f.derivative())
         return (False, repr(g)) if g.degree() > 0 else (True, None)
     # gcd with one zero side is the other side made monic; both zero give 0
-    g = resultant(fc, F.partial_x().coeffs_in_y("x")).gcd(
-        resultant(fc, F.partial_y().coeffs_in_y("x")))
+    g = resultant(fc, F.partial_x().coeffs_in_y()).gcd(
+        resultant(fc, F.partial_y().coeffs_in_y()))
     if g.is_zero:
         return False, "resultants vanish identically"
     if g.degree() > 0:

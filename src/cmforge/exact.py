@@ -409,29 +409,12 @@ class BiPoly:
         xv, yv = rat(xv), rat(yv)
         return sum((c * xv ** r * yv ** s for (r, s), c in self.terms.items()), Fraction(0))
 
-    def coeffs_in_y(self, xvar: str = "x"):
-        """Coefficient list in the second variable, entries UniPoly in the first."""
-        n = self.degree_y()
-        out = []
-        for s in range(n + 1):
-            cs = {}
-            for (r, t), c in self.terms.items():
-                if t == s:
-                    cs[r] = c
-            deg = max(cs, default=-1)
-            out.append(UniPoly(xvar, [cs.get(i, 0) for i in range(deg + 1)]))
-        return out
-
-    def subs_second_shift(self) -> "BiPoly":
-        """Substitute second variable -> first + eps; result is in (first, eps)."""
-        from math import comb
-
-        d = {}
+    def coeffs_in_y(self):
+        """Coefficient list in the second variable, entries UniPoly in x."""
+        rows = [{} for _ in range(self.degree_y() + 1)]
         for (r, s), c in self.terms.items():
-            for j in range(s + 1):
-                k = (r + s - j, j)
-                d[k] = d.get(k, Fraction(0)) + c * comb(s, j)
-        return BiPoly(d)
+            rows[s][r] = c
+        return [UniPoly("x", [cs.get(i, 0) for i in range(max(cs, default=-1) + 1)]) for cs in rows]
 
     def __repr__(self):
         if self.is_zero:

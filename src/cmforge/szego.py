@@ -2,18 +2,19 @@
 
 Everything lives on one coordinate patch: a kernel phi(z1, z2)/(z1 - z2)^m
 acts on a polynomial f through the coefficient of (z2 - z1)^(m-1) in the
-expansion of f(z2) phi(z1, z2) about the diagonal.  Half-form weights are
-purely formal (the dz^(1/2) tag never materializes); the square root of a
-coordinate change only ever appears through the product w'(z1) w'(z2),
-whose constant term w'(0)^2 is an exact rational square.  Its root is taken
-as w'(0), not |w'(0)|: the product of the two half-form factors is w'(0) on
-the diagonal at the origin.
+expansion of f(z2) phi(z1, z2) about the diagonal, and each calculation
+reads only the rows of that expansion it needs.  Half-form weights are
+purely formal (the dz^(1/2) tag never materializes), and the root of
+w'(z1) w'(z2) in a coordinate change is never taken: the check squares it
+away, and its branch is w'(0), not |w'(0)|, the product of the two
+half-form factors on the diagonal at the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exact import BiPoly, UniPoly
 
@@ -58,13 +59,20 @@ class HalfFormOp:
         return "HalfFormOp(a=%r, b=%r)" % (self.a, self.b)
 
 
+def _diagonal_row(p: BiPoly, j: int) -> UniPoly:
+    """Coefficient of e^j in p(z, z + e), a polynomial in z: the sum of
+    c C(s, j) z^(r + s - j) over the terms c z1^r z2^s of p with s >= j."""
+    cs = {}
+    for (r, s), c in p.terms.items():
+        if s >= j:
+            cs[r + s - j] = cs.get(r + s - j, 0) + c * comb(s, j)
+    return UniPoly("z", [cs.get(i, 0) for i in range(max(cs, default=-1) + 1)])
+
+
 def residue_action(kernel: LocalKernel, f: UniPoly) -> UniPoly:
     """Coefficient of (z2 - z1)^(m-1) in f(z2) phi(z1, z2) about z2 = z1."""
     lifted = BiPoly({(0, s): c for s, c in enumerate(f.coeffs)})
-    expanded = (lifted * kernel.phi).subs_second_shift()
-    rows = expanded.coeffs_in_y("z")
-    m = kernel.pole_order
-    return rows[m - 1] if m - 1 < len(rows) else UniPoly("z", [])
+    return _diagonal_row(lifted * kernel.phi, kernel.pole_order - 1)
 
 
 def extract_operator(kernel: LocalKernel) -> HalfFormOp:
@@ -72,64 +80,32 @@ def extract_operator(kernel: LocalKernel) -> HalfFormOp:
     value of phi, b the first off-diagonal Taylor coefficient."""
     if kernel.pole_order != 2:
         raise ValueError("wrong pole order: %d (need 2)" % kernel.pole_order)
-    rows = kernel.phi.subs_second_shift().coeffs_in_y("z")
-    a = rows[0] if rows else UniPoly("z", [])
-    b = rows[1] if len(rows) > 1 else UniPoly("z", [])
-    return HalfFormOp(a, b)
+    return HalfFormOp(_diagonal_row(kernel.phi, 0), _diagonal_row(kernel.phi, 1))
 
 
-# -- coordinate-change check for the diagonal pole ---------------------------
-#
-# Truncated bivariate series in (z, e), z2 = z1 + e, kept to z-degree <= dz
-# and e-degree <= de.  BiPoly's first slot is z, second is e.
-
-
-def _trunc(p: BiPoly, dz: int, de: int) -> BiPoly:
-    return BiPoly({k: c for k, c in p.terms.items() if k[0] <= dz and k[1] <= de})
-
-
-def _power_series(u: BiPoly, alpha: Fraction, lead: Fraction, dz: int, de: int) -> BiPoly:
-    """The power u**alpha with constant term lead (lead**(1/alpha) that of u):
-    lead * (1 + t)**alpha with t = u/u(0) - 1, by the binomial series."""
-    t = _trunc(u * BiPoly.const(1 / u.terms[(0, 0)]) - BiPoly.const(1), dz, de)
-    out = power = BiPoly.const(1)
-    coeff = Fraction(1)
-    for j in range(1, dz + de + 1):
-        coeff = coeff * (alpha - j + 1) / j
-        power = _trunc(power * t, dz, de)
-        if power.is_zero:
-            break
-        out = out + power * BiPoly.const(coeff)
-    return _trunc(out * BiPoly.const(lead), dz, de)
-
-
-def gamma_skew_check(param_change: UniPoly, order: int = 6) -> bool:
+def gamma_skew_check(param_change: UniPoly) -> bool:
     """Check that the diagonal pole kernel transforms as a half-form pairing.
 
-    For the substitution z -> w(z) the ratio
-        S = w'(z1)^(1/2) w'(z2)^(1/2) (z1 - z2) / (w(z1) - w(z2))
-    must equal 1 + O((z1 - z2)^2): the constant row 1 says the transformed
-    kernel has the same diagonal singularity, the vanishing linear row says
-    the correction is symmetric and vanishes on the diagonal.  The square
-    root is the branch with constant term w'(0), so S holds for a w that
-    reverses orientation too.  Computed in the series ring truncated at
-    z-degree `order`, e-degree 2.
+    For the substitution z -> w(z) and z2 = z1 + e, the ratio
+        S = w'(z1)^(1/2) w'(z2)^(1/2) (z1 - z2) / (w(z1) - w(z2)) = A^(1/2) / q,
+    with A = w'(z) w'(z + e) and q = (w(z + e) - w(z)) / e, must equal
+    1 + O(e^2): the constant row 1 says the transformed kernel has the same
+    diagonal singularity, the vanishing linear row says the correction is
+    symmetric and vanishes on the diagonal.  The root is the branch with
+    constant term w'(0), so S(0, 0) = 1 and S + 1 is a unit of Q[[z, e]]:
+    S = 1 + O(e^2) exactly when S^2 = A / q^2 = 1 + O(e^2), that is (q^2 is
+    a unit too) when A - q^2 = O(e^2).  In the rows A0, A1 of A and q0, q1
+    of q in powers of e, that is A0 = q0^2 and A1 q0 = 2 A0 q1 (q0 != 0):
+    two exact identities in Q[z], with no truncation, which hold for a w
+    that reverses orientation too.
     """
     w = param_change
     wp = w.derivative()
     if wp.is_zero or wp.coeffs[0] == 0:
         raise ValueError("parameter change has vanishing derivative at the origin")
-    dz, de = order, 2
-    a = BiPoly({(i, 0): c for i, c in enumerate(wp.coeffs)})
-    # w'(z + e): w' in the second slot, shifted by the first
-    b = _trunc(BiPoly({(0, i): c for i, c in enumerate(wp.coeffs)}).subs_second_shift(), dz, de)
-    s = _power_series(_trunc(a * b, dz, de), Fraction(1, 2), wp.coeffs[0], dz, de)
-    # (z1 - z2)/(w(z1) - w(z2)) = 1/q with q = (w(z + e) - w(z))/e, q(0) = w'(0)
-    diff = (BiPoly({(0, i): c for i, c in enumerate(w.coeffs)}).subs_second_shift()
-            - BiPoly({(i, 0): c for i, c in enumerate(w.coeffs)}))
-    q = _trunc(BiPoly({(r, t - 1): c for (r, t), c in diff.terms.items()}), dz, de)
-    ratio = _trunc(s * _power_series(q, Fraction(-1), 1 / wp.coeffs[0], dz, de), dz, de)
-    rows = ratio.coeffs_in_y("z")
-    const_ok = rows and rows[0] == UniPoly("z", [1])
-    linear_ok = len(rows) < 2 or rows[1].is_zero
-    return bool(const_ok and linear_ok)
+    a = BiPoly({(r, s): c * d for r, c in enumerate(wp.coeffs) for s, d in enumerate(wp.coeffs)})
+    a0, a1 = _diagonal_row(a, 0), _diagonal_row(a, 1)
+    # row j of q is row j + 1 of w(z + e)
+    w2 = BiPoly({(0, s): c for s, c in enumerate(w.coeffs)})
+    q0, q1 = _diagonal_row(w2, 1), _diagonal_row(w2, 2)
+    return a0 == q0 * q0 and a1 * q0 == a0 * q1 * 2

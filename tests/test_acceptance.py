@@ -244,11 +244,13 @@ def test_criterion_08_unit_conjugation_equivariance():
         base = ideal_generators(p)
         for r in (-1, 1):
             conj = unit_conjugate(base, r)
-            twisted = ideal_generators(lambda_act(p, r))
-            cl = clearing_for(conj, twisted)
-            assert module_equal(span_filtration(conj, kmax, cl),
-                                span_filtration(twisted, kmax, cl)), \
-                "n=%d r=%d" % (n, r)
+            # the matched twist gives the same module, the opposite one not
+            for act_r, want in ((r, True), (-r, False)):
+                twisted = ideal_generators(lambda_act(p, act_r))
+                cl = clearing_for(conj, twisted)
+                assert module_equal(span_filtration(conj, kmax, cl),
+                                    span_filtration(twisted, kmax, cl)) == want, \
+                    "n=%d r=%d act_r=%d" % (n, r, act_r)
     _report(8, "unit-conjugation-equivariance", t0, 60)
 
 

@@ -300,6 +300,74 @@ def test_exit_1_on_bad_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
+_DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize("command", ["verify", "make-point"])
+def test_exit_1_on_deeply_nested_json(tmp_path, capsys, command):
+    # json gives up on nesting this deep with a RecursionError: the file
+    # cannot be read, a schema error like any other malformed JSON
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    assert main([command, str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema"
+    assert err["detail"].startswith("cannot read %s: maximum recursion depth" % path)
+
+
+def test_exit_1_on_deeply_nested_omega(tmp_path, capsys):
+    pt = _write(tmp_path, "p.json", _line_point_json())
+    assert main(["act", pt, "--omega", _DEEP]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema"
+    assert err["detail"].startswith("bad --omega coefficient: maximum recursion depth")
+
+
+_BAD_TERMS = [
+    ('[[0, 1, "1"], [99999, 0, "-1"]]', "a term exponent must be an integer in 0..4300, got 99999"),
+    ('[[0, 1], [2, 0, "-1"]]', "%s: not enough values to unpack (expected 3, got 2)"),
+    ("5", "%s: 'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("terms, detail", _BAD_TERMS, ids=["exponent", "two-element-term", "int"])
+def test_bad_terms_details_pinned(tmp_path, capsys, terms, detail):
+    # the same malformed term list as a curve's F and as --omega: an
+    # exponent error keeps its own message, anything else names its source
+    doc = {"curve": {"kind": "PlaneCurve", "F": json.loads(terms)}, "points": [[1, 1]]}
+    for argv, source in ((["make-point", _write(tmp_path, "f.json", doc)], "bad plane curve data"),
+                         (["act", _write(tmp_path, "p.json", _line_point_json()), "--omega", terms],
+                          "bad --omega coefficient")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == json.dumps(
+            {"detail": detail.replace("%s", source), "error": "schema"},
+            sort_keys=True, indent=2) + "\n"
+
+
+def _raise_attribute_error(*args):
+    raise AttributeError("boom")
+
+
+def test_fault_in_curve_parsing_is_internal(tmp_path, capsys, monkeypatch):
+    # an internal bug while building a curve from F is exit 3, not a schema error
+    import cmforge.curve as curve
+    monkeypatch.setattr(curve, "_squarefree", _raise_attribute_error)
+    doc = {"curve": {"kind": "PlaneCurve", "F": [[0, 2, "1"], [3, 0, "-1"], [0, 0, "-1"]]},
+           "points": [[0, 1]]}
+    assert main(["make-point", _write(tmp_path, "f.json", doc)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "internal",
+                                                    "detail": "AttributeError: boom"}
+
+
+def test_fault_in_omega_parsing_is_internal(tmp_path, capsys, monkeypatch):
+    import cmforge.cli as cli
+    monkeypatch.setattr(cli, "_parse_terms", _raise_attribute_error)
+    pt = _write(tmp_path, "p.json", _line_point_json())
+    assert main(["act", pt, "--omega", '[[0, 0, "1"]]']) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "internal",
+                                                    "detail": "AttributeError: boom"}
+
+
 def test_exit_1_on_unknown_curve(tmp_path, capsys):
     pt = _write(tmp_path, "p.json", {"curve": {"kind": "Sphere"}, "n": 1,
                                      "X": [["0"]], "Z": [["0"]],

@@ -96,18 +96,10 @@ def test_bipoly_partials_and_eval():
 
 def test_bipoly_coeff_rows():
     f = BiPoly({(0, 2): Fraction(1), (3, 0): Fraction(-1), (1, 1): Fraction(2)})
-    rows = f.coeffs_in_y("x")
+    rows = f.coeffs_in_y()
     assert rows[0] == UniPoly("x", [0, 0, 0, -1])
     assert rows[1] == UniPoly("x", [0, 2])
     assert rows[2] == UniPoly("x", [1])
-
-
-def test_bipoly_second_shift():
-    # y^2 -> (x + e)^2 = x^2 + 2 x e + e^2
-    f = BiPoly({(0, 2): Fraction(1)})
-    shifted = f.subs_second_shift()
-    assert shifted == BiPoly({(2, 0): Fraction(1), (1, 1): Fraction(2),
-                              (0, 2): Fraction(1)})
 
 
 def test_ratfunc_normalizes_monic():
@@ -460,7 +452,7 @@ def test_resultant_over_qx_matches_sympy_and_sylvester(sympy):
         f, g = _bipoly(rng), _bipoly(rng)
         if f.is_zero or g.is_zero:
             continue
-        fc, gc = f.coeffs_in_y("x"), g.coeffs_in_y("x")
+        fc, gc = f.coeffs_in_y(), g.coeffs_in_y()
         got = resultant(fc, gc)
         assert got == sylvester_det(fc, gc), (f, g)
         fs, gs = (sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * x ** r * y ** s
