@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .exact import BiPoly, Mat, QQ, rat, bipoly_apply, rational_rank
 from .errors import PreconditionError
@@ -158,22 +160,44 @@ class CMPoint:
         return "CMPoint(%r, n=%d)" % (self.curve, self.n)
 
 
+def _int_form(m: Mat):
+    """m as (N, d): integer rows N over one positive denominator d, m = N / d."""
+    d = lcm(*[e.denominator for e in m.entries])
+    return [[e.numerator * (d // e.denominator) for e in m.row(i)] for i in range(m.rows)], d
+
+
 def _word_products(p: CMPoint):
     """One memoised word-product table per relation shape, as a function of
     (shape, word): () is the identity of the shape, a one-symbol word its
-    symbol's matrix, and a longer word (its prefix) times (its last symbol)."""
-    tables = {"mat": {(): Mat.identity(QQ, p.n)}, "scalar": {(): Mat.identity(QQ, 1)}}
+    symbol's matrix, and a longer word (its prefix) times (its last symbol).
+    Products are in integer form (N, d): the rows and the denominators
+    multiply, then their common gcd is divided out."""
+    tables = {shape: {(): _int_form(Mat.identity(QQ, k))}
+              for shape, k in (("mat", p.n), ("scalar", 1))}
+    symbols = {}
 
     def product(shape, word):
         table = tables[shape]
         k = len(word)
         while word[:k] not in table:
             k -= 1
-        m = table[word[:k]]
+        N, d = table[word[:k]]
         for j in range(k, len(word)):
-            sym = p.symbol_value(word[j])
-            m = table[word[:j + 1]] = m.mul(sym) if j else sym
-        return m
+            if word[j] not in symbols:
+                m = p.symbol_value(word[j])
+                S, e = _int_form(m)
+                symbols[word[j]] = S, e, [[r[b] for r in S] for b in range(m.cols)]
+            S, e, cols = symbols[word[j]]
+            if j:
+                N = [[sum(map(mul, r, c)) for c in cols] for r in N]
+                d *= e
+                g = gcd(d, *[x for r in N for x in r])
+                if g > 1:
+                    N, d = [[x // g for x in r] for r in N], d // g
+            else:
+                N, d = S, e
+            table[word[:j + 1]] = N, d
+        return N, d
 
     return product
 
@@ -209,10 +233,16 @@ def verify_relations(p: CMPoint) -> VerifyReport:
     product = _word_products(p)
     for rel in relation_set(p.curve, p.n, p.n_inf):
         size = 1 if rel.shape == "scalar" else p.n
-        res = Mat.zeros(QQ, size, size)
-        for coeff, word in rel.terms:
-            res = res.add(product(rel.shape, word).scalar_mul(coeff))
-        entries.append((rel.name, res.is_zero(), res))
+        terms = [(coeff, product(rel.shape, word)) for coeff, word in rel.terms]
+        den = lcm(*[coeff.denominator * d for coeff, (_, d) in terms])
+        acc = [0] * (size * size)
+        for coeff, (N, d) in terms:
+            f = coeff.numerator * (den // (coeff.denominator * d))
+            for i, row in enumerate(N):
+                for j, x in enumerate(row):
+                    acc[i * size + j] += f * x
+        res = Mat(QQ, size, size, [Fraction(e, den) for e in acc])
+        entries.append((rel.name, not any(acc), res))
     return VerifyReport(entries)
 
 
@@ -288,34 +318,35 @@ def _linear_cols(blocks, shapes):
     """Columns of a linear system in matrix unknowns.
 
     ``shapes`` lists (unknown, rows, cols) in column order; entry (a, b) of an
-    unknown owns one column, row-major.  Each block is one matrix equation
-    sum(coeff * L * U * R) over its terms (U, coeff, L, R), contributing its
-    entries row-major as rows.  L * E_ab * R is the outer product of column a
-    of L and row b of R, so each column is written from those, skipping zero
-    factors.
+    unknown owns one column, row-major.  Each block (height, width, terms) is
+    one matrix equation sum(coeff * L * U * R) over its terms (U, coeff, L, R),
+    with L and R in the integer form of _int_form, contributing its entries
+    row-major as rows.  L * E_ab * R is the outer product of column a of L and
+    row b of R, so each column is written from those, skipping zero factors,
+    on integers over one denominator per block; nonzero entries leave as
+    Fractions.
     """
     first, ncols = {}, 0
     for u, r, c in shapes:
         first[u] = ncols
         ncols += r * c
     cols = [[] for _ in range(ncols)]
-    for terms in blocks:
-        height, width = terms[0][2].rows, terms[0][3].cols
+    for height, width, terms in blocks:
+        den = lcm(*[coeff.denominator * dl * dr for _, coeff, (_, dl), (_, dr) in terms])
         part = [[0] * (height * width) for _ in range(ncols)]
-        for u, coeff, L, R in terms:
-            rrows = [R.row(b) for b in range(R.rows)]
-            for a in range(L.cols):
-                lcol = L.col(a)
-                for b, rrow in enumerate(rrows):
-                    acc = part[first[u] + a * R.rows + b]
+        for u, coeff, (L, dl), (R, dr) in terms:
+            f = coeff.numerator * (den // (coeff.denominator * dl * dr))
+            for a, lcol in enumerate(zip(*L)):
+                for b, rrow in enumerate(R):
+                    acc = part[first[u] + a * len(R) + b]
                     for i, li in enumerate(lcol):
                         if li:
-                            f = coeff * li
+                            fl = f * li
                             for j, rj in enumerate(rrow):
                                 if rj:
-                                    acc[i * width + j] += f * rj
+                                    acc[i * width + j] += fl * rj
         for col, rows in zip(cols, part):
-            col.extend(rows)
+            col.extend([Fraction(e, den) if e else 0 for e in rows])
     return cols
 
 
@@ -326,7 +357,7 @@ def _nullspace_dim(columns) -> int:
 def commutant_dim(p: CMPoint) -> int:
     """Dimension of the endomorphism space Hom(p, p): pairs (M, C) with M
     commuting with every vertex action, M V = V C and C W = W M.  Value 1
-    certifies that the module is simple."""
+    certifies End = Q (a brick), not that the module is simple."""
     return hom_dim(p, p)
 
 
@@ -335,14 +366,14 @@ def hom_dim(p: CMPoint, q: CMPoint) -> int:
     action and both framing arrows."""
     if (p.Ymat is None) != (q.Ymat is None):
         raise ValueError("modules must share the model shape")
-    ip, iq = Mat.identity(QQ, p.n), Mat.identity(QQ, q.n)
+    ip, iq, jp, jq = (_int_form(Mat.identity(QQ, k)) for k in (p.n, q.n, p.n_inf, q.n_inf))
     # f0 x - y f0 for each pair of vertex actions (x of p, y of q)
-    blocks = [[("f0", 1, iq, x), ("f0", -1, y, ip)]
+    blocks = [(q.n, p.n, [("f0", 1, iq, _int_form(x)), ("f0", -1, _int_form(y), ip)])
               for x, y in zip(p.vertex_actions(), q.vertex_actions())]
-    blocks.append([("f0", 1, iq, p.V),
-                   ("finf", -1, q.V, Mat.identity(QQ, p.n_inf))])
-    blocks.append([("finf", 1, Mat.identity(QQ, q.n_inf), p.W),
-                   ("f0", -1, q.W, ip)])
+    blocks.append((q.n, p.n_inf, [("f0", 1, iq, _int_form(p.V)),
+                                  ("finf", -1, _int_form(q.V), jp)]))
+    blocks.append((q.n_inf, p.n, [("finf", 1, jq, _int_form(p.W)),
+                                  ("f0", -1, _int_form(q.W), ip)]))
     shapes = [("f0", q.n, p.n), ("finf", q.n_inf, p.n_inf)]
     return _nullspace_dim(_linear_cols(blocks, shapes))
 
@@ -391,9 +422,11 @@ def tangent_dim(p: CMPoint) -> int:
     product = _word_products(p)
     blocks = []
     for rel in relation_set(p.curve, p.n, p.n_inf):
-        blocks.append([(sym, coeff, product(rel.shape, word[:pos]),
-                        product(rel.shape, word[pos + 1:]))
-                       for coeff, word in rel.terms for pos, sym in enumerate(word)])
+        size = 1 if rel.shape == "scalar" else p.n
+        blocks.append((size, size, [(sym, coeff, product(rel.shape, word[:pos]),
+                                     product(rel.shape, word[pos + 1:]))
+                                    for coeff, word in rel.terms
+                                    for pos, sym in enumerate(word)]))
     return _nullspace_dim(_linear_cols(blocks, shapes))
 
 

@@ -296,6 +296,104 @@ def test_hom_columns_match_unit_construction(monkeypatch):
         assert cols == _hom_reference(u, v), (u, v)
 
 
+# --- dimensions against sympy's rank of the reference columns ---------------
+
+
+def _sympy_nullity(sympy, cols):
+    """Column count minus sympy's rank of the columns."""
+    if not cols or not cols[0]:
+        return len(cols)
+    m = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in c] for c in cols])
+    return len(cols) - m.rank()
+
+
+def _random_rational_module(rng, curve=None):
+    """A framed module with entries num/den, |num| <= 9 and den <= 9; rank
+    0-3 and 0-2 framing pairs, on the line or (curve given) with a Y action."""
+    n, k = rng.randint(0, 3), rng.randint(0, 2)
+
+    def m(r, c):
+        return Mat(QQ, r, c, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                              for _ in range(r * c)])
+
+    return framed_module(m(n, n), m(n, n), m(n, k), m(k, n),
+                         None if curve is None else m(n, n), curve)
+
+
+def test_hom_dim_matches_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(26)
+    pairs = [(_random_rational_module(rng), _random_rational_module(rng)) for _ in range(30)]
+    c = cubic_plus_one()
+    pairs += [(_random_rational_module(rng, c), _random_rational_module(rng, c)) for _ in range(6)]
+    empty = framed_module(Mat(QQ, 0, 0, []), Mat(QQ, 0, 0, []), Mat(QQ, 0, 0, []),
+                          Mat(QQ, 0, 0, []))
+    pairs += [(empty, empty), (empty, pairs[0][0]), (pairs[0][1], empty)]
+    mods = [u for pair in pairs for u in pair]
+    assert {0, 3} <= {u.n for u in mods} and {0, 2} <= {u.n_inf for u in mods}
+    assert any(u.n == 0 and u.n_inf > 0 for u in mods)
+    assert any(u.n > 0 and u.n_inf == 0 for u in mods)
+    for u, v in pairs:
+        assert hom_dim(u, v) == _sympy_nullity(sympy, _hom_reference(u, v)), (u, v)
+
+
+def test_tangent_dim_matches_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    twisted = [lambda_act(p, r) for p in torus_points() for r in (1, Fraction(-3, 2))]
+    a = line_points()[1]
+    bare = framed_module(a.Xmat, a.Zmat, Mat(QQ, 2, 0, []), Mat(QQ, 0, 2, []))
+    for p in full_battery() + twisted + [bare]:
+        assert tangent_dim(p) == _sympy_nullity(sympy, _tangent_reference(p)), repr(p)
+
+
+# --- verify residuals against the Mat algorithm ------------------------------
+
+
+def _residual_reference(p):
+    """(name, ok, residual) per relation: every word a chain of Mat.mul from
+    the identity of its shape, scaled by its coefficient and summed with
+    Mat.add."""
+    out = []
+    for rel in relation_set(p.curve, p.n, p.n_inf):
+        size = 1 if rel.shape == "scalar" else p.n
+        res = Mat.zeros(QQ, size, size)
+        for coeff, word in rel.terms:
+            term = Mat.identity(QQ, size)
+            for s in word:
+                term = term.mul(p.symbol_value(s))
+            res = res.add(term.scalar_mul(coeff))
+        out.append((rel.name, res.is_zero(), res))
+    return out
+
+
+def _shift_z(p, i, j, c):
+    z = list(p.Zmat.entries)
+    z[i * p.n + j] += c
+    return replace(p, Zmat=Mat(QQ, p.n, p.n, z))
+
+
+def test_verify_residuals_exact_under_perturbation():
+    for p in line_points() + torus_points() + hyper_points():
+        n, last = p.n, p.n - 1
+        for i, j, c in ((0, last, Fraction(1, 7)), (last, 0, Fraction(-3, 5))):
+            bad = _shift_z(p, i, j, c)
+            rep = verify_relations(bad)
+            got = [e for e in rep.entries if e[0] != "x-invertible"]
+            want = _residual_reference(bad)
+            assert [e[:2] for e in got] == [e[:2] for e in want], (bad, i, j)
+            for (name, _, res), (_, _, ref) in zip(got, want):
+                assert res == ref, (bad, name)
+                assert all(type(e) is Fraction for e in res.entries)
+            # a diagonal shift commutes with the diagonal X and Y
+            assert rep.ok == (n == 1), (bad, i, j)
+            if p.curve.kind == "AffineLine":
+                # [Z + c E_ij, X] - [Z, X] = c (x_j - x_i) E_ij
+                x = p.Xmat
+                zx = Mat(QQ, n, n, [c * (x.entry(j, j) - x.entry(i, i)) if (a, b) == (i, j)
+                                    else Fraction(0) for a in range(n) for b in range(n)])
+                assert dict((name, res) for name, _, res in got)["zx-commutator"] == zx
+
+
 def test_lambda_action():
     p = torus_points()[1]
     q = lambda_act(p, 2)
