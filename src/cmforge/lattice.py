@@ -3,7 +3,9 @@
 Operators are compared through their coefficient rows over Q[x]: every
 generator is cleared to polynomial form by one recorded right multiplier
 s**M (``clearing_for``: s squarefree, M read off the pole orders by a
-valuation argument; degree n**2 on forge output), ``_levels`` yields the
+valuation argument; degree n**2 on forge output).  The rows are computed on
+ints from the generators' numerators, one exact division by the generator's
+denominator D per entry (``_cleared_rows``), ``_levels`` yields the
 derivative rows of the level k span level by level, and codimensions reduce
 to Hermite forms, which ``codim`` keeps in the descent's integer rows.
 Right multiplication by a polynomial f is triangular on the rows with f on
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .cmspace import OneForm
 from .curve import AFFINE_LINE, TORUS
@@ -64,17 +66,13 @@ def x_saturate(rows) -> tuple:
 
 
 def _int_rows(rows) -> list:
-    """Rows of UniPoly as int rows (``_int_row``)."""
+    """Rows of UniPoly as int coefficient lists, each row over the lcm of its
+    denominators and made primitive."""
     if not all(isinstance(e, UniPoly) for row in rows for e in row):
         raise ValueError("a Hermite form needs rows of polynomials")
-    return [_int_row(row) for row in rows]
-
-
-def _int_row(row) -> list:
-    """A Q[x] row as int coefficient lists over one lcm of its denominators,
-    made primitive."""
-    den = lcm(*[e.den for e in row])
-    return _primitive([[c * (den // e.den) for c in e.num] for e in row])
+    dens = [lcm(*[e.den for e in row]) for row in rows]
+    return [_primitive([[c * (den // e.den) for c in e.num] for e in row])
+            for den, row in zip(dens, rows)]
 
 
 def _poly_rows(rows: list) -> tuple:
@@ -296,69 +294,98 @@ class FiltrationModule:
     clearing: ClearingData
 
 
-def _cleared_ops(gens: FractionalIdeal, clearing: ClearingData) -> list[DiffOp]:
-    """The products g * multiplier for the nonzero generators g, in order."""
+def _cleared_rows(gens: FractionalIdeal, clearing: ClearingData) -> list[tuple]:
+    """(order, den, row) for each nonzero generator g, in order: the row of
+    g * m, m = clearing.multiplier(), in the columns d^order .. d^0 as int
+    coefficient lists over one positive int den.
+
+    With c_j = a_j / den_j the coefficient of d^j in g and D =
+    clearing_denominator([g]), the coefficient of d^i in g * m is
+    (sum_{j >= i} C(j, i) a_j (D / den_j) m^(j - i)) / D, m^(t) the t-th
+    derivative of m.  The sum runs on int numerators and is divided once by
+    D's numerator, which is primitive (D is monic), so an exact quotient has
+    int coefficients (Gauss's lemma); a remainder is a pole left by clearing.
+    """
     if gens.curve.kind not in (AFFINE_LINE, TORUS):
         raise ValueError("only the affine line and the torus carry the lattice filtration")
-    ring = gens.generators[0].ring
-    mult = DiffOp.from_coeff(ring.from_poly(clearing.multiplier()))
-    return [g.mul(mult) for g in gens.generators if not g.is_zero]
+    mult = clearing.multiplier()
+    out = []
+    for g in [g for g in gens.generators if not g.is_zero]:
+        dm = [list(mult.num)]  # numerators of m, m', m'', ... over mult.den
+        while len(dm) <= g.order():
+            dm.append([i * c for i, c in enumerate(dm[-1])][1:])
+        big = clearing_denominator([g])
+        terms = [(j, c.a * big.divmod_(c.den)[0]) for j, c in enumerate(g.coeffs)
+                 if not c.is_zero]
+        den = lcm(*[t.den for _, t in terms])
+        row = []
+        for i in range(g.order(), -1, -1):
+            acc = [0] * (len(mult.num) + max(len(t.num) for _, t in terms))
+            for j, t in terms:
+                if j >= i:
+                    f, b = comb(j, i) * (den // t.den), dm[j - i]
+                    for a, y in enumerate(t.num):
+                        if y:
+                            y *= f
+                            acc[a:a + len(b)] = [u + y * z for u, z in zip(acc[a:a + len(b)], b)]
+            while acc and not acc[-1]:
+                acc.pop()
+            q, r, _ = _pseudo_divmod(acc, big.num)
+            if any(r):
+                raise ValueError("clearing left a non-polynomial coefficient in d^%d" % i)
+            row.append([c * big.den for c in q])
+        out.append((g.order(), den * mult.den, row))
+    return out
 
 
-def _row(op: DiffOp, k: int) -> list[UniPoly]:
-    """Coefficients of op in the columns d^k .. d^0, each required to lie in Q[x]."""
-    vec = []
-    for i in range(k, -1, -1):
-        c = op.coeff(i)
-        if not c.is_polynomial():
-            raise ValueError("clearing left a non-polynomial coefficient: %r" % (c,))
-        vec.append(c.as_poly())
-    return vec
+def _d_row(row: list) -> list:
+    """The int row of d * op from that of op, one column (d^(k+1)) longer and
+    over the same denominator: the coefficient of d^i in d * op is c_i' + c_(i-1)."""
+    out = [row[0]]
+    for a, b in zip(row[1:] + [[]], row):
+        db = [i * c for i, c in enumerate(b)][1:]
+        e = [u + v for u, v in zip(a, db)] + (a[len(db):] if len(a) > len(db) else db[len(a):])
+        while e and not e[-1]:
+            e.pop()
+        out.append(e)
+    return out
 
 
-def _d_row(row: list[UniPoly]) -> list[UniPoly]:
-    """The row of d * op from the row of op, one column (d^(k+1)) longer.
+def _levels(cleared: list, kmax: int):
+    """For k = 0..kmax, the (den, row) pairs that enter the span at level k,
+    in generator order, each an int row over its generator's int den.
 
-    The coefficient of d^i in d * op is c_i' + c_(i-1), so a polynomial row
-    stays polynomial.
+    The row d^s * (g * m) has order order(g) + s, so it enters at exactly one
+    level: at k = order(g) the row of ``_cleared_rows``, and at each later
+    level the row of one more left multiplication by d (``_d_row``).  A row
+    that enters at level k has the k + 1 columns d^k .. d^0.
     """
-    return ([row[0]] + [a + b.derivative() for a, b in zip(row[1:], row)]
-            + [row[-1].derivative()])
-
-
-def _levels(ops: list[DiffOp], kmax: int):
-    """For k = 0..kmax, the rows that enter the span at level k, in op order.
-
-    The row d^s * op has order order(op) + s, so it enters at exactly one
-    level: at k = order(op) the row of op (``_row``), and at each later level
-    the row of one more left multiplication by d (``_d_row``).  A row that
-    enters at level k has the k + 1 columns d^k .. d^0.
-    """
-    current: list = [None] * len(ops)  # each op's row, once it has entered
+    current: list = [None] * len(cleared)  # each generator's row, once it has entered
     for k in range(kmax + 1):
         rows = []
-        for j, op in enumerate(ops):
+        for j, (order, den, row) in enumerate(cleared):
             if current[j] is not None:
                 current[j] = _d_row(current[j])
-            elif op.order() == k:
-                current[j] = _row(op, k)
+            elif order == k:
+                current[j] = row
             else:
                 continue
-            rows.append(current[j])
+            rows.append((den, current[j]))
         yield rows
 
 
 def span_filtration(gens: FractionalIdeal, k: int,
                     clearing: ClearingData | None = None) -> FiltrationModule:
     """Rows d^s * (g * multiplier) for each generator g and s <= k - order(g),
-    level by level (``_levels``)."""
+    level by level (``_levels``) on ints; each entry becomes a UniPoly once,
+    the coefficient that DiffOp.mul gives for the same product."""
     if k < 0:
         raise ValueError("negative filtration level")
     if clearing is None:
         clearing = clearing_for(gens)
     zero = UniPoly("x", [])
-    rows = tuple(tuple([zero] * (k + 1 - len(row)) + row)
-                 for level in _levels(_cleared_ops(gens, clearing), k) for row in level)
+    rows = tuple(tuple([zero] * (k + 1 - len(row)) + [_poly("x", e, den) for e in row])
+                 for level in _levels(_cleared_rows(gens, clearing), k) for den, row in level)
     return FiltrationModule(gens.curve.kind, k, rows, clearing)
 
 
@@ -387,7 +414,8 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     times the previous span with U unimodular, so the stacked rows span the
     level-k module, and a Hermite form depends only on the row module.  The
     form stays in the descent's integer rows (``_descend``), each its Hermite
-    row made primitive with a positive pivot lead, so only new rows convert.
+    row made primitive with a positive pivot lead, and new rows enter as
+    ``_levels``' int rows made primitive: no entry is a UniPoly until the end.
 
     The ambient pivot is the pivot of least degree at level kmax, made monic
     (on the torus it keeps its x-power); each level contributes the sum of
@@ -403,8 +431,8 @@ def codim(gens: FractionalIdeal, kmax: int) -> CodimReport:
     val = _val if gens.curve.kind == TORUS else lambda e: 0
     per_k = []
     basis: list = []  # int rows of the previous level's Hermite form
-    for k, new in enumerate(_levels(_cleared_ops(gens, clearing), kmax)):
-        rows = [_int_row(row) for row in new] + [[[]] + row for row in basis]
+    for k, new in enumerate(_levels(_cleared_rows(gens, clearing), kmax)):
+        rows = [_primitive(row) for _, row in new] + [[[]] + row for row in basis]
         basis = rows[:_descend(rows, k + 1, laurent=False)]
         per_k.append([next(e for e in row if e) for row in basis]
                      if len(basis) == k + 1 else None)

@@ -149,7 +149,7 @@ _CODIM_PINS = json.loads((Path(__file__).parent / "codim_pins.json").read_text()
 def test_codim_bytes_pinned(tmp_path, capsys, name):
     # make-point -> forge -> codim at the default kmax, stdout against the
     # bytes recorded when codim cleared with den**(maxorder + 1): line and
-    # torus points 0..n-1 and 1..n for n = 1..6, and the Fourier points
+    # torus points 0..n-1 and 1..n for n = 1..7, and the Fourier points
     pin = _CODIM_PINS[name]
     point = str(tmp_path / "point.json")
     if "request" in pin:

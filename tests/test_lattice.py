@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from battery import fourier_points, hyper_points, line_points, torus_points
 from cmforge.cmspace import OneForm, generic_point, lambda_act, omega_twist
 from cmforge.curve import AFFINE_LINE, TORUS, affine_line, torus
-from cmforge.diffop import (CoeffRing, DiffOp, FractionalIdeal, clearing_denominator,
+from cmforge.diffop import (Coeff, CoeffRing, DiffOp, FractionalIdeal, clearing_denominator,
                             coeff_ring_for)
 from cmforge.errors import PreconditionError
-from cmforge.exact import BiPoly, UniPoly, char_poly
+from cmforge.exact import BiPoly, UniPoly, _poly, char_poly
 from cmforge.forge import ideal_generators
-from cmforge.lattice import (ClearingData, FiltrationModule, _cleared_ops, _d_row, _echelon,
-                             _int_rows, _row, _strip, _val, clearing_for,
+from cmforge.lattice import (ClearingData, FiltrationModule, _cleared_rows, _d_row, _echelon,
+                             _int_rows, _strip, _val, clearing_for,
                              codim, hnf, module_equal, span_filtration,
                              twist_ideal, unit_conjugate, x_saturate)
 from polyoracle import bareiss_det, div_xk, mul_xk, x_valuation
@@ -194,6 +194,32 @@ def _least_power_oracle(ideal, s):
     return power
 
 
+def _reference_ops(ideal, cl):
+    """g * multiplier for each nonzero generator g, by DiffOp.mul."""
+    ring = ideal.generators[0].ring
+    m = DiffOp.from_coeff(ring.from_poly(cl.multiplier()))
+    return [g.mul(m) for g in ideal.generators if not g.is_zero]
+
+
+def _op_row(op, k):
+    """The coefficients of op in the columns d^k .. d^0, each polynomial."""
+    assert all(c.is_polynomial() for c in op.coeffs), op
+    return [op.coeff(i).as_poly() for i in range(k, -1, -1)]
+
+
+def _poly_row(den, row):
+    """An int row over den as a row of UniPoly."""
+    return [_poly("x", list(e), den) for e in row]
+
+
+def _check_cleared_rows(ideal, cl):
+    # each row of the int builder is the row of g * multiplier by DiffOp.mul
+    for op, (k, den, row) in zip(_reference_ops(ideal, cl), _cleared_rows(ideal, cl),
+                                 strict=True):
+        assert k == op.order()
+        assert _poly_row(den, row) == _op_row(op, k), op
+
+
 def _clears(ideal, mult):
     ring = ideal.generators[0].ring
     m = DiffOp.from_coeff(ring.from_poly(mult))
@@ -224,8 +250,7 @@ def test_clearing_high_order_pole(curve, ops, s, power):
     cl = clearing_for(ideal)
     assert (cl.den, cl.power) == (s, power)
     assert power == _least_power_oracle(ideal, s)
-    for op in _cleared_ops(ideal, cl):
-        assert all(c.is_polynomial() for c in op.coeffs), op
+    _check_cleared_rows(ideal, cl)
     assert not _clears(ideal, s ** (power - 1))
 
 
@@ -240,8 +265,7 @@ def test_clearing_fourier_point_needs_more_than_den():
     assert left == [ring.coeff(X * 2 + 2, den=X)]
     cl = clearing_for(ideal)
     assert (cl.den, cl.power) == (X, 2)
-    for op in _cleared_ops(ideal, cl):
-        assert all(c.is_polynomial() for c in op.coeffs), op
+    _check_cleared_rows(ideal, cl)
 
 
 _LADDER_XS = ((affine_line(), [0, 1, 3, -2]), (torus(), [1, 2, -3, 5]))
@@ -286,16 +310,85 @@ def test_wrong_clearing_is_not_a_precondition():
     assert not isinstance(exc.value, PreconditionError)
 
 
+def test_wrong_clearing_fourier_point_is_not_a_precondition():
+    # s = x with M = 1 leaves (2 + 2x)/x in d^0 of the order-2 generator
+    # (test_clearing_fourier_point_needs_more_than_den): the int builder
+    # finds the remainder of that sum and raises the caller's ValueError
+    ideal = ideal_generators(fourier_points()[0])
+    with pytest.raises(ValueError) as exc:
+        span_filtration(ideal, 4, ClearingData(X, 1))
+    assert not isinstance(exc.value, PreconditionError)
+
+
 def test_d_row_is_left_multiplication_by_d():
     for p in line_points() + torus_points():
         ideal = ideal_generators(p)
         partial = DiffOp.partial(ideal.generators[0].ring)
-        for op in _cleared_ops(ideal, clearing_for(ideal)):
-            k = op.order()
-            row = _row(op, k)
+        cl = clearing_for(ideal)
+        for op, (k, den, row) in zip(_reference_ops(ideal, cl), _cleared_rows(ideal, cl),
+                                     strict=True):
             for _ in range(3):
                 op, k, row = partial.mul(op), k + 1, _d_row(row)
-                assert row == _row(op, k)
+                assert _poly_row(den, row) == _op_row(op, k)
+
+
+def _reference_rows(ideal, cl, k):
+    """The rows of d^s * (g * multiplier) for s <= k - order, by DiffOp.mul,
+    level by level and in generator order within a level."""
+    partial = DiffOp.partial(ideal.generators[0].ring)
+    entered = []  # (level, generator index, row)
+    for j, op in enumerate(_reference_ops(ideal, cl)):
+        for level in range(op.order(), k + 1):
+            entered.append((level, j, tuple(_op_row(op, k))))
+            op = partial.mul(op)
+    return tuple(row for _, _, row in sorted(entered, key=lambda e: e[:2]))
+
+
+def _oracle_cases():
+    # (name, ideal, clearing): line and torus ranks 1-6, the Fourier points,
+    # the pole ideals, and a torus conj/acted pair under their shared clearing
+    cases = []
+    for n in range(1, 7):
+        for curve, xs in ((affine_line(), range(n)), (torus(), range(1, n + 1))):
+            ideal = ideal_generators(generic_point(curve, list(xs)))
+            cases.append(("%s-%d" % (curve.kind, n), ideal, clearing_for(ideal)))
+    for i, p in enumerate(fourier_points()):
+        ideal = ideal_generators(p)
+        cases.append(("fourier-%d" % i, ideal, clearing_for(ideal)))
+    for i, (curve, ops, _, _) in enumerate(_POLE_IDEALS):
+        ideal = _ideal(curve, *ops)
+        cases.append(("pole-%d" % i, ideal, clearing_for(ideal)))
+    p = torus_points()[1]
+    conj = unit_conjugate(ideal_generators(p), 1)
+    acted = ideal_generators(lambda_act(p, 1))
+    shared = clearing_for(conj, acted)
+    cases += [("torus-conj", conj, shared), ("torus-acted", acted, shared)]
+    return cases
+
+
+def test_span_filtration_rows_match_diffop_products():
+    # the int rows against d^s * (g * s^M) built with DiffOp.mul, entry for
+    # entry as UniPoly, two levels above the top generator order
+    for name, ideal, cl in _oracle_cases():
+        k = max(g.order() for g in ideal.generators) + 2
+        fm = span_filtration(ideal, k, cl)
+        assert fm.rows == _reference_rows(ideal, cl, k), name
+
+
+def test_row_path_builds_no_coeff_or_diffop(monkeypatch):
+    # once the ideal exists, codim and span_filtration compute their rows on
+    # ints from the generators' numerators: no operator product, no Coeff
+    ideals = [ideal_generators(p) for p in line_points()[:3] + torus_points()[:3]
+              + fourier_points()]
+
+    def forbid(self, *args, **kwargs):
+        raise AssertionError("built a %s" % type(self).__name__)
+
+    monkeypatch.setattr(Coeff, "__init__", forbid)
+    monkeypatch.setattr(DiffOp, "__init__", forbid)
+    for ideal in ideals:
+        assert codim(ideal, 8).stabilized is not None
+        span_filtration(ideal, 6)
 
 
 def test_clearing_rejects_hyper_coefficients():
